@@ -124,7 +124,8 @@ def test_cluster_load_byte_identical_and_sharded(benchmark, suite, record):
         # the ring used every shard, and the load stayed warm: no shard
         # recomputed a schedule after the cold pass
         shard_requests = [
-            service.requests_total for service, _, _ in shards
+            service.stats()["service"]["requests"]
+            for service, _, _ in shards
         ]
         assert all(count > 0 for count in shard_requests), (
             f"a shard served no requests: {shard_requests}"

@@ -25,8 +25,8 @@ from repro.graph.analysis import (
     longest_path_lengths,
     longest_path_lengths_reference,
 )
-from repro.graph.index import WORK
 from repro.lifetimes import allocate_registers, max_live, variant_lifetimes
+from repro.telemetry import COUNTERS
 from repro.workloads import (
     NAMED_KERNELS,
     apsi47_like,
@@ -102,13 +102,13 @@ def test_relaxation_edge_visits_reduction(record):
         latencies = MACHINE.latencies_for(ddg)
         mii = compute_mii(ddg, MACHINE)
         for ii in (mii, mii + 2):
-            before = WORK.snapshot()
+            before = COUNTERS.snapshot()
             longest_path_lengths(ddg, latencies, ii)
             longest_path_lengths(ddg, latencies, ii, reverse=True)
-            middle = WORK.snapshot()
+            middle = COUNTERS.snapshot()
             longest_path_lengths_reference(ddg, latencies, ii)
             longest_path_lengths_reference(ddg, latencies, ii, reverse=True)
-            after = WORK.snapshot()
+            after = COUNTERS.snapshot()
             fast += middle.delta(before).relax_visits
             slow += after.delta(middle).relax_visits
     ratio = slow / max(fast, 1)
@@ -133,11 +133,11 @@ def test_allocation_probe_reduction(record):
     fast = slow = 0
     for workload in _relaxation_workloads():
         schedule = HRMSScheduler().schedule(workload.ddg, MACHINE)
-        before = WORK.snapshot()
+        before = COUNTERS.snapshot()
         allocate_registers(schedule)
-        middle = WORK.snapshot()
+        middle = COUNTERS.snapshot()
         allocate_registers_reference(schedule)
-        after = WORK.snapshot()
+        after = COUNTERS.snapshot()
         fast += middle.delta(before).alloc_probes
         slow += after.delta(middle).alloc_probes
     ratio = slow / max(fast, 1)

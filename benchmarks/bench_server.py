@@ -10,7 +10,7 @@ Two axes:
 
 * **warm service throughput** — a request set served twice through one
   :class:`repro.server.CompileService`; the second pass must perform
-  zero new schedule computations (the ``/stats`` CacheStats check CI
+  zero new schedule computations (the ``/stats`` cache-counter check CI
   makes against a live daemon, here asserted in-process);
 * **coalescing** — N identical concurrent submissions must cost one
   computation, measured by the schedule-miss counter movement.

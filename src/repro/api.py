@@ -50,7 +50,6 @@ from dataclasses import dataclass, field, replace as _dc_replace
 from repro.core.registry import StrategyOutcome, get_strategy
 from repro.graph.builder import ddg_from_source
 from repro.graph.ddg import DDG
-from repro.graph.index import WORK
 from repro.lifetimes.requirements import RegisterReport
 from repro.machine.machine import MachineConfig
 from repro.machine.specs import machine_label, resolve_machine
@@ -59,6 +58,7 @@ from repro.sched.base import ModuloScheduler
 from repro.sched.cache import cached_mii
 from repro.sched.registry import canonical_name, create_scheduler
 from repro.sched.schedule import Schedule
+from repro.telemetry import COUNTERS
 from repro.trace import context as trace_context
 from repro.trace import profile as trace_profile
 
@@ -249,12 +249,12 @@ def _run_impl(
 ) -> CompilationResult:
     strategy = get_strategy(strategy_name)
     started = time.perf_counter()
-    work_before = WORK.snapshot()
+    work_before = COUNTERS.snapshot()
     mii = cached_mii(ddg, machine)
     outcome: StrategyOutcome = strategy(
         ddg, machine, scheduler, registers, dict(options or {})
     )
-    work = WORK.delta(work_before)
+    work = COUNTERS.delta(work_before)
     wall = time.perf_counter() - started
     schedule = outcome.schedule
     try:

@@ -76,6 +76,7 @@ plus ``--max-bytes N`` to set the store's eviction cap.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from repro.api import compile_loop
@@ -92,6 +93,7 @@ from repro.lifetimes import register_requirements
 from repro.machine.specs import machine_names, resolve_machine
 from repro.sched import compute_mii, rec_mii, reduce_stages, res_mii
 from repro.sched.registry import create_scheduler, scheduler_names
+from repro.trace import context as trace_context
 
 _SHOW_CHOICES = ("graph", "schedule", "kernel", "lifetimes", "pressure", "all")
 
@@ -307,20 +309,38 @@ def _cmd_suite(args) -> int:
     return 0
 
 
-def _flush_sweep_trace(path: str) -> None:
-    """Persist every span a traced sweep produced — pool-worker buffers
-    first, then this process's own — into the ``--trace`` database."""
-    from repro import pool
-    from repro import trace as trace_mod
+@contextlib.contextmanager
+def _traced_sweep(path: str):
+    """Trace the sweep run inside the block into the ``--trace`` span
+    database: it is the process's span flush target meanwhile (pool
+    workers' spans arrive with their chunks), takes the final drain,
+    and the written and dropped span counts are printed."""
+    import os
+
     from repro.metrics import MetricsDB
 
-    spans = list(pool.drain_worker_spans())
-    spans.extend(trace_mod.drain_spans())
-    if not spans:
-        return
-    with MetricsDB(path) as db:
+    # The env var (not just the in-process switch) so forked pool
+    # workers inherit tracing.
+    os.environ[trace_context.ENV_VAR] = "1"
+    trace_context.enable(True)
+    dropped = trace_context.dropped_count()
+    written = 0
+
+    def write(spans: list) -> None:
+        nonlocal written
         db.record_spans(spans)
-    print(f"[{len(spans)} trace span(s) written to {path}]")
+        written += len(spans)
+
+    with MetricsDB(path) as db:
+        trace_context.set_flush_target(write)
+        try:
+            yield
+        finally:
+            trace_context.set_flush_target(None)
+            write(trace_context.drain_spans())
+            dropped = trace_context.dropped_count() - dropped
+            print(f"[{written} trace span(s) written to {path},"
+                  f" {dropped} dropped]")
 
 
 def _cmd_sweep(args) -> int:
@@ -365,16 +385,6 @@ def _cmd_sweep(args) -> int:
             "load_mix": args.load_mix,
             "store_mix": args.store_mix,
         }
-    if args.trace:
-        import os
-
-        from repro import trace as trace_mod
-
-        # The env var (not just the in-process switch) so forked pool
-        # workers inherit tracing; worker spans come back through the
-        # pool's span-drain probes after the run.
-        os.environ[trace_mod.ENV_VAR] = "1"
-        trace_mod.enable(True)
     cluster = None
     if args.connect:
         if args.cache_dir is not None or args.max_bytes is not None:
@@ -390,20 +400,24 @@ def _cmd_sweep(args) -> int:
             cluster = ClusterClient(args.connect, token=args.token)
         except ValueError as error:
             raise SystemExit(f"repro sweep: --connect: {error}")
+    tracing = (
+        _traced_sweep(args.trace) if args.trace else contextlib.nullcontext()
+    )
     try:
-        report = run_sweep(
-            suite=suite,
-            machines=machines,
-            budgets=tuple(args.budgets),
-            artifacts=tuple(args.artifacts),
-            jobs=args.jobs,
-            scheduler=scheduler,
-            suite_info=suite_info,
-            cache_dir=None if cluster is not None else _cache_from(args),
-            suite_filter=args.suite_filter,
-            cluster=cluster,
-            verify=args.verify,
-        )
+        with tracing:
+            report = run_sweep(
+                suite=suite,
+                machines=machines,
+                budgets=tuple(args.budgets),
+                artifacts=tuple(args.artifacts),
+                jobs=args.jobs,
+                scheduler=scheduler,
+                suite_info=suite_info,
+                cache_dir=None if cluster is not None else _cache_from(args),
+                suite_filter=args.suite_filter,
+                cluster=cluster,
+                verify=args.verify,
+            )
     except ValueError as error:
         raise SystemExit(f"repro sweep: {error}")
     except Exception as error:
@@ -417,8 +431,6 @@ def _cmd_sweep(args) -> int:
     finally:
         if cluster is not None:
             cluster.close()
-        if args.trace:
-            _flush_sweep_trace(args.trace)
     print(report.render())
     if args.json_out:
         with open(args.json_out, "w") as handle:

@@ -556,9 +556,9 @@ class LocalClient(_BaseClient):
         return {"status": "ok", "transport": "local"}
 
     def stats(self) -> dict:
-        from repro.sched.cache import STATS
+        from repro.telemetry import CACHE, COUNTERS
 
-        return {"transport": "local", "cache": STATS.as_dict()}
+        return {"transport": "local", "cache": COUNTERS.as_dict(CACHE)}
 
 
 def client_for(address: str, timeout: float = 60.0,

@@ -45,7 +45,8 @@ from repro.client import (
 )
 from repro.faults import plan as faults
 from repro.cluster.ring import HashRing
-from repro.sched.cache import CacheStats, compile_request_key
+from repro.sched.cache import compile_request_key
+from repro.telemetry import Counters
 from repro.trace import context as trace_context
 
 __all__ = ["ClusterClient", "parse_addresses"]
@@ -337,11 +338,11 @@ class ClusterClient:
 
     # ------------------------------------------------------------------
     # the engine surface
-    def run_cells(self, cells) -> tuple[list, "CacheStats"]:
+    def run_cells(self, cells) -> tuple[list, Counters]:
         """Evaluate engine cells across the shards: grouped by
         :meth:`cell_key`, scattered in parallel, gathered as
         :class:`repro.eval.engine.CellResult` objects in the engine's
-        deterministic order, plus the summed remote cache movement."""
+        deterministic order, plus the summed remote counter movement."""
         from repro.eval.engine import Cell, CellResult, cell_to_wire
 
         ordered = sorted(cells, key=Cell.sort_key)
@@ -360,13 +361,13 @@ class ClusterClient:
             return group_cells, data_list, cache
 
         by_cell: dict = {}
-        total = CacheStats()
+        total = Counters()
         with ThreadPoolExecutor(max_workers=max(1, len(groups))) as pool:
             outcomes = pool.map(run_group, groups.values())
             for group_cells, data_list, cache in outcomes:
                 for cell, data in zip(group_cells, data_list):
                     by_cell[cell] = data
-                total.add(CacheStats(**cache))
+                total.merge(cache)
         results = [
             CellResult(cell=cell, data=by_cell[cell]) for cell in ordered
         ]

@@ -1,35 +1,26 @@
 """Register-constrained software pipelining — the paper's contribution.
 
-.. deprecated::
-    The four per-method entry points exported here
-    (:func:`schedule_with_spilling`, :func:`schedule_increasing_ii`,
-    :func:`schedule_best_of_both`,
-    :func:`schedule_with_prescheduling_spill`) are kept as thin
-    compatibility shims.  New code should call
-    :func:`repro.api.compile_loop` with ``strategy="spill"`` /
-    ``"increase"`` / ``"combined"`` / ``"prespill"`` — one facade, one
-    :class:`~repro.api.CompilationResult` shape, pluggable through
-    :mod:`repro.core.registry`.  The implementations (and their result
-    dataclasses) live on unchanged in the submodules
-    (:mod:`repro.core.driver`, :mod:`repro.core.increase_ii`,
-    :mod:`repro.core.combined`, :mod:`repro.core.prespill`), which is
-    what the strategy registry wraps.
-
 Three ways to make a modulo-scheduled loop fit in the available register
-file:
+file, each reached through :func:`repro.api.compile_loop` (one facade,
+one :class:`~repro.api.CompilationResult` shape, pluggable through
+:mod:`repro.core.registry`):
 
-* :func:`schedule_increasing_ii` — reschedule at ever larger IIs
-  (Figure 1a; the Cydra 5 approach), with non-convergence detection;
-* :func:`schedule_with_spilling` — the paper's iterative spilling driver
-  (Figure 1b) with the Max(LT) / Max(LT/Traf) selection heuristics and the
-  multiple-lifetimes and last-II-tried accelerations;
-* :func:`schedule_best_of_both` — the combined method sketched in
-  Section 5: spill first, then binary-search plain schedules below the
-  spill II and keep the better loop.
+* ``strategy="increase"`` — reschedule at ever larger IIs (Figure 1a;
+  the Cydra 5 approach), with non-convergence detection
+  (:mod:`repro.core.increase_ii`);
+* ``strategy="spill"`` — the paper's iterative spilling driver
+  (Figure 1b) with the Max(LT) / Max(LT/Traf) selection heuristics and
+  the multiple-lifetimes and last-II-tried accelerations
+  (:mod:`repro.core.driver`);
+* ``strategy="combined"`` — the combined method sketched in Section 5:
+  spill first, then binary-search plain schedules below the spill II
+  and keep the better loop (:mod:`repro.core.combined`).
+
+``strategy="prespill"`` is the pre-scheduling spill baseline
+(:mod:`repro.core.prespill`).  The submodules keep the per-method
+implementations and their result dataclasses, which the strategy
+registry wraps.
 """
-
-import functools
-import warnings
 
 from repro.core.select import (
     SelectionPolicy,
@@ -39,40 +30,9 @@ from repro.core.select import (
 )
 from repro.core.spill import SpillHome, apply_spill
 from repro.core.increase_ii import IncreaseIIResult
-from repro.core.increase_ii import schedule_increasing_ii as _increase_impl
 from repro.core.driver import SpillResult
-from repro.core.driver import schedule_with_spilling as _spill_impl
 from repro.core.combined import CombinedResult
-from repro.core.combined import schedule_best_of_both as _combined_impl
 from repro.core.prespill import PreSpillResult
-from repro.core.prespill import (
-    schedule_with_prescheduling_spill as _prespill_impl,
-)
-
-
-def _deprecated_shim(impl, strategy: str):
-    """Wrap a legacy entry point: same behaviour, plus a one-time
-    :class:`DeprecationWarning` pointing at the facade."""
-
-    @functools.wraps(impl)
-    def shim(*args, **kwargs):
-        warnings.warn(
-            f"repro.core.{impl.__name__} is deprecated; use"
-            f" repro.api.compile_loop(..., strategy={strategy!r})",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return impl(*args, **kwargs)
-
-    return shim
-
-
-schedule_with_spilling = _deprecated_shim(_spill_impl, "spill")
-schedule_increasing_ii = _deprecated_shim(_increase_impl, "increase")
-schedule_best_of_both = _deprecated_shim(_combined_impl, "combined")
-schedule_with_prescheduling_spill = _deprecated_shim(
-    _prespill_impl, "prespill"
-)
 
 __all__ = [
     "CombinedResult",
@@ -83,10 +43,6 @@ __all__ = [
     "SpillHome",
     "SpillResult",
     "apply_spill",
-    "schedule_best_of_both",
-    "schedule_increasing_ii",
-    "schedule_with_prescheduling_spill",
-    "schedule_with_spilling",
     "select_lifetimes",
     "spill_candidates",
 ]

@@ -34,6 +34,7 @@ from repro.sched.base import ModuloScheduler, ScheduleError
 from repro.sched.cache import cached_mii
 from repro.sched.hrms import HRMSScheduler
 from repro.sched.schedule import Schedule
+from repro.telemetry import COUNTERS
 
 
 @dataclass
@@ -65,7 +66,6 @@ def static_lifetimes(ddg: DDG, machine: MachineConfig, ii: int) -> list[Lifetime
     Runs over the compiled consumer CSR of
     :class:`~repro.lifetimes.index.LifetimeIndex` (same first-max
     last-consumer tie-break as the scheduled path)."""
-    from repro.graph.index import WORK
     from repro.lifetimes.index import lifetime_index
 
     latencies = machine.latencies_for(ddg)
@@ -105,7 +105,7 @@ def static_lifetimes(ddg: DDG, machine: MachineConfig, ii: int) -> list[Lifetime
                 spillable=li.spillable[j],
             )
         )
-    WORK.lifetime_visits += len(cdst)
+    COUNTERS.lifetime_visits += len(cdst)
     for invariant in ddg.invariants.values():
         estimates.append(
             Lifetime(

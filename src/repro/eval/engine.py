@@ -54,7 +54,7 @@ from __future__ import annotations
 import contextlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.select import SelectionPolicy
 from repro.faults import plan as faults
@@ -67,8 +67,9 @@ from repro.machine.machine import MachineConfig
 from repro.machine.specs import machine_spec, resolve_machine
 from repro.sched import store as sched_store
 from repro.sched.base import ModuloScheduler
-from repro.sched.cache import STATS, CacheStats, schedule_memo
+from repro.sched.cache import schedule_memo
 from repro.sched.schedule import Schedule
+from repro.telemetry import COUNTERS, Counters
 from repro.trace import profile as trace_profile
 from repro.workloads.suite import Workload
 
@@ -174,13 +175,12 @@ class Cell:
 
 @dataclass
 class CellResult:
-    """Deterministic payload plus per-cell telemetry (kept out of any
+    """Deterministic payload plus the cell's wall time (kept out of any
     byte-compared output)."""
 
     cell: Cell
     data: dict
     seconds: float = 0.0
-    cache: CacheStats = field(default_factory=CacheStats)
 
     def as_json(self) -> dict:
         return {
@@ -291,7 +291,6 @@ def evaluate_cell(cell: Cell) -> CellResult:
     if faults.enabled():
         faults.maybe_kill("pool.kill_before_cell")
         faults.maybe_hang("pool.hang_cell")
-    before = STATS.snapshot()
     started = time.perf_counter()
     with trace_profile.profiled_span(
         "cell", "worker",
@@ -304,7 +303,6 @@ def evaluate_cell(cell: Cell) -> CellResult:
         cell=cell,
         data=data,
         seconds=time.perf_counter() - started,
-        cache=STATS.delta(before),
     )
 
 
@@ -486,12 +484,15 @@ _EVALUATORS = {
 # execution
 @dataclass
 class EngineRun:
-    """A batch of evaluated cells plus aggregate telemetry."""
+    """A batch of evaluated cells plus aggregate telemetry: ``cache``
+    is the :data:`repro.telemetry.COUNTERS` movement of the batch,
+    wherever its cells ran (this process, pool workers, or — routed —
+    the shards)."""
 
     results: list[CellResult]
     jobs: int
     seconds: float
-    cache: CacheStats
+    cache: Counters
 
     def by_kind(self, kind: str) -> list[CellResult]:
         return [r for r in self.results if r.cell.kind == kind]
@@ -566,6 +567,7 @@ def run_cells(cells: list[Cell], jobs: int = 1) -> EngineRun:
             seconds=time.perf_counter() - started,
             cache=cache,
         )
+    before = COUNTERS.snapshot()
     # cache.disabled() is process-local: worker processes would cache
     # anyway (or inherit a frozen flag at fork time), so honour it by
     # evaluating serially in this process.
@@ -576,14 +578,11 @@ def run_cells(cells: list[Cell], jobs: int = 1) -> EngineRun:
         results = list(
             imap_resilient(evaluate_cell, ordered, jobs, chunksize=chunk)
         )
-    cache = CacheStats()
-    for result in results:
-        cache.add(result.cache)
     return EngineRun(
         results=results,
         jobs=jobs,
         seconds=time.perf_counter() - started,
-        cache=cache,
+        cache=COUNTERS.delta(before),
     )
 
 
@@ -849,7 +848,7 @@ def run_sweep(
     started = time.perf_counter()
     produced = {}
     results: list[CellResult] = []
-    cache = CacheStats()
+    cache = Counters()
     verify_context = verified_cells() if verify else contextlib.nullcontext()
     with verify_context:
         for sched, label in zip(schedulers, scheduler_labels):
@@ -859,7 +858,7 @@ def run_sweep(
                 produced[f"{name}@{label}" if multi else name] = result
                 run = result.engine_run
                 results.extend(run.results)
-                cache.add(run.cache)
+                cache.merge(run.cache)
     engine_run = EngineRun(
         results=results,
         jobs=jobs,

@@ -321,11 +321,8 @@ def run_chaos(
                 if not isinstance(document, dict) or "error" in document:
                     continue
                 store = document.get("store") or {}
-                workers = document.get("workers") or {}
-                worker_store = workers.get("store") or {}
-                if store.get("degraded") or worker_store.get(
-                    "degraded_processes"
-                ):
+                cache = document.get("cache") or {}
+                if store.get("degraded") or cache.get("store_degradations"):
                     report.store_degraded_shards.append(address)
                 pool = document.get("pool") or {}
                 report.worker_restarts += pool.get("worker_restarts", 0)

@@ -26,7 +26,8 @@ oracle the property tests compare the indexed path against.
 from __future__ import annotations
 
 from repro.graph.ddg import DDG, DepKind, Edge
-from repro.graph.index import WORK, get_index
+from repro.graph.index import get_index
+from repro.telemetry import COUNTERS
 
 #: latency charged to anti and output memory dependences.
 NON_FLOW_LATENCY = 1
@@ -71,7 +72,7 @@ def _has_positive_cycle(
     for _ in range(len(nodes)):
         changed = False
         for edge in local:
-            WORK.relax_visits += 1
+            COUNTERS.relax_visits += 1
             weight = edge_latency(edge, latencies) - ii * edge.distance
             candidate = dist[edge.src] + weight
             if candidate > dist[edge.dst]:
@@ -179,7 +180,7 @@ def longest_path_lengths_reference(
     for _ in range(len(ddg.nodes) + 1):
         changed = False
         for edge in edges:
-            WORK.relax_visits += 1
+            COUNTERS.relax_visits += 1
             weight = edge_latency(edge, latencies) - ii * edge.distance
             if reverse:
                 src, dst = edge.dst, edge.src

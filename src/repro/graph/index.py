@@ -27,73 +27,17 @@ a fingerprint-keyed memo alongside the PR-1 memos in
 memoized on the index itself, so one ``(fingerprint, latencies)`` pair
 never re-derives anything.
 
-:data:`WORK` counts the deterministic units of analysis work
-(relaxation edge-visits, MRT slot probes) that
-:class:`repro.api.CompilationResult` surfaces as ``effort_*``-style
+Index builds and relaxation edge-visits count into
+:data:`repro.telemetry.COUNTERS` (``index_builds``, ``relax_visits``),
+which :class:`repro.api.CompilationResult` surfaces as effort
 telemetry — a machine-independent, CI-gateable proxy for wall clock.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.graph.ddg import DDG, DepKind
+from repro.telemetry import COUNTERS
 from repro.trace.profile import phase
-
-
-@dataclass
-class WorkCounters:
-    """Deterministic analysis-work accounting.
-
-    ``relax_visits`` counts longest-path / positive-cycle edge
-    relaxations (the Bellman-Ford inner loop); ``mrt_probes`` counts
-    modulo-reservation-table unit availability tests; ``index_builds``
-    counts full :class:`DDGIndex` constructions; ``lifetime_visits``
-    counts reg-flow consumer-edge visits during lifetime computation;
-    ``alloc_probes`` counts rotating-file occupancy probes (per-cell
-    touches in the reference allocator, per-arc bitmask tests in the
-    compiled one — the allocation CI gate compares the two).
-    """
-
-    relax_visits: int = 0
-    mrt_probes: int = 0
-    index_builds: int = 0
-    lifetime_visits: int = 0
-    alloc_probes: int = 0
-
-    def snapshot(self) -> "WorkCounters":
-        return WorkCounters(
-            self.relax_visits, self.mrt_probes, self.index_builds,
-            self.lifetime_visits, self.alloc_probes,
-        )
-
-    def delta(self, before: "WorkCounters") -> "WorkCounters":
-        return WorkCounters(
-            self.relax_visits - before.relax_visits,
-            self.mrt_probes - before.mrt_probes,
-            self.index_builds - before.index_builds,
-            self.lifetime_visits - before.lifetime_visits,
-            self.alloc_probes - before.alloc_probes,
-        )
-
-    def as_dict(self) -> dict:
-        return {
-            "relax_visits": self.relax_visits,
-            "mrt_probes": self.mrt_probes,
-            "index_builds": self.index_builds,
-            "lifetime_visits": self.lifetime_visits,
-            "alloc_probes": self.alloc_probes,
-        }
-
-
-#: Process-wide work counters (deterministic; reset via :func:`reset_work`).
-WORK = WorkCounters()
-
-
-def reset_work() -> None:
-    """Zero the process-wide work counters (test/benchmark hygiene)."""
-    WORK.relax_visits = WORK.mrt_probes = WORK.index_builds = 0
-    WORK.lifetime_visits = WORK.alloc_probes = 0
 
 
 # ----------------------------------------------------------------------
@@ -130,7 +74,7 @@ class DDGIndex:
 
     @classmethod
     def _build(cls, ddg: DDG) -> "DDGIndex":
-        WORK.index_builds += 1
+        COUNTERS.index_builds += 1
         self = cls()
         names = tuple(ddg.nodes)
         idx = {name: i for i, name in enumerate(names)}
@@ -385,7 +329,7 @@ class LatencyView:
                     if not changed:
                         break
                 else:
-                    WORK.relax_visits += visits
+                    COUNTERS.relax_visits += visits
                     raise ValueError(
                         f"II={ii} is below RecMII; longest paths diverge"
                     )
@@ -399,7 +343,7 @@ class LatencyView:
                 candidate = dist[src] + weight
                 if candidate > dist[dst]:
                     dist[dst] = candidate
-        WORK.relax_visits += visits
+        COUNTERS.relax_visits += visits
         names = idx.names
         return {names[i]: dist[i] for i in range(n)}
 
@@ -426,9 +370,9 @@ class LatencyView:
                     dist[edst[eid]] = candidate
                     changed = True
             if not changed:
-                WORK.relax_visits += visits
+                COUNTERS.relax_visits += visits
                 return False
-        WORK.relax_visits += visits
+        COUNTERS.relax_visits += visits
         return True
 
     def recmii_of(self, sid: int) -> int:

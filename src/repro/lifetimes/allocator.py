@@ -24,8 +24,8 @@ overlap is a single AND, and the gap behind a position falls out of
 original implementation (kept as :func:`allocate_registers_reference`,
 the property-test oracle) collapse to a handful of bignum operations per
 candidate slot.  Both paths count their occupancy probes into
-``WORK.alloc_probes`` (cells touched vs. arcs tested), which is what the
-allocation CI gate compares.
+``repro.telemetry.COUNTERS.alloc_probes`` (cells touched vs. arcs
+tested), which is what the allocation CI gate compares.
 
 Loop-invariants live in ordinary (static) registers: one each, added on
 top of the rotating allocation by :mod:`repro.lifetimes.requirements`.
@@ -35,9 +35,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.graph.index import WORK
 from repro.lifetimes.lifetime import Lifetime, variant_lifetimes
 from repro.lifetimes.maxlive import _pattern_from, max_live
+from repro.telemetry import COUNTERS
 from repro.trace.profile import phase
 from repro.sched.schedule import Schedule
 
@@ -182,7 +182,7 @@ def _try_allocate(
     for j in ordered:
         length = lengths[j]
         if length > circumference:
-            WORK.alloc_probes += probes
+            COUNTERS.alloc_probes += probes
             return None
         arc = (1 << length) - 1
         position = starts[j] % circumference
@@ -213,13 +213,13 @@ def _try_allocate(
             if position >= circumference:
                 position -= circumference
         if best_slot < 0:
-            WORK.alloc_probes += probes
+            COUNTERS.alloc_probes += probes
             return None
         start = (starts[j] + best_slot * ii) % circumference
         shifted = arc << start
         occupied |= (shifted | (shifted >> circumference)) & full
         placement[values[j]] = best_slot
-    WORK.alloc_probes += probes
+    COUNTERS.alloc_probes += probes
     return placement
 
 
@@ -309,7 +309,7 @@ def _overlaps(
     occupied: bytearray, start: int, length: int, circumference: int
 ) -> bool:
     for cycle in range(length):
-        WORK.alloc_probes += 1
+        COUNTERS.alloc_probes += 1
         if occupied[(start + cycle) % circumference]:
             return True
     return False
@@ -323,7 +323,7 @@ def _gap_behind(
     gap = 0
     position = (start - 1) % circumference
     while gap < limit and not occupied[position]:
-        WORK.alloc_probes += 1
+        COUNTERS.alloc_probes += 1
         gap += 1
         position = (position - 1) % circumference
     return gap

@@ -19,7 +19,7 @@ per graph content:
 * :func:`variant_arrays` — one schedule's variant lifetimes as parallel
   ``starts``/``sched``/``dist``/``lengths`` integer lists, computed in a
   single pass over the consumer CSR.  Every consumer-edge visit counts
-  into ``WORK.lifetime_visits``.
+  into ``repro.telemetry.COUNTERS.lifetime_visits``.
 
 A :class:`LifetimeIndex` is derived purely from graph content, so it is
 cached on the :class:`DDGIndex` itself (``_lifetimes`` slot): the
@@ -35,8 +35,9 @@ in the ``longest_path_lengths_reference`` style.
 from __future__ import annotations
 
 from repro.graph.ddg import DDG
-from repro.graph.index import WORK, DDGIndex, get_index
+from repro.graph.index import DDGIndex, get_index
 from repro.sched.schedule import Schedule
+from repro.telemetry import COUNTERS
 
 
 class LifetimeIndex:
@@ -171,5 +172,5 @@ def variant_arrays(schedule: Schedule) -> VariantArrays:
         sched.append(s)
         dist.append(d)
         lengths.append(s + d)
-    WORK.lifetime_visits += len(cdst)
+    COUNTERS.lifetime_visits += len(cdst)
     return VariantArrays(li, ii, starts, sched, dist, lengths)

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from repro.graph.ddg import DDG
 from repro.sched.schedule import Schedule
+from repro.telemetry import COUNTERS
 
 
 @dataclass(frozen=True)
@@ -94,11 +95,9 @@ def variant_lifetimes_reference(schedule: Schedule) -> list[Lifetime]:
 
 
 def _lifetime_of(schedule: Schedule, ddg: DDG, name: str) -> Lifetime:
-    from repro.graph.index import WORK
-
     t_producer = schedule.time(name)
     edges = ddg.reg_out_edges(name)
-    WORK.lifetime_visits += len(edges)
+    COUNTERS.lifetime_visits += len(edges)
     if not edges:
         # Live-out value with no in-loop consumer: the value merely has to
         # be produced; only the final iteration's instance is used after

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from repro.lifetimes.allocator import allocate_arrays
 from repro.lifetimes.maxlive import _pattern_from
 from repro.sched.schedule import Schedule
+from repro.telemetry import COUNTERS
 from repro.trace.profile import phase
 
 
@@ -68,7 +69,7 @@ def register_requirements(schedule: Schedule, exact: bool = True) -> RegisterRep
     if memo is not None:
         entry = memo.get(exact)
         if entry is not None and entry[0] == revision:
-            sched_cache.STATS.alloc_hits += 1
+            COUNTERS.alloc_hits += 1
             return entry[1]
     key = (
         sched_cache.schedule_fingerprint(schedule),

@@ -16,15 +16,15 @@ mod II, and ``can_place`` is one AND per unit instead of a nested
 list scan.  The name-per-slot grid is kept alongside the masks for the
 queries that need occupant identities (:meth:`conflicting`,
 :meth:`render`, :meth:`utilization`).  Unit probes are counted in
-:data:`repro.graph.index.WORK` (``mrt_probes``) — the deterministic
+:data:`repro.telemetry.COUNTERS` (``mrt_probes``) — the deterministic
 effort proxy surfaced by :class:`repro.api.CompilationResult`.
 """
 
 from __future__ import annotations
 
-from repro.graph.index import WORK
 from repro.ir.operations import FuClass, Opcode
 from repro.machine.machine import MachineConfig
+from repro.telemetry import COUNTERS
 
 
 class ModuloReservationTable:
@@ -72,7 +72,7 @@ class ModuloReservationTable:
         """Lowest-numbered unit whose mask does not intersect
         *footprint* (one AND per unit)."""
         for unit, busy in enumerate(self._masks.get(fu_class, ())):
-            WORK.mrt_probes += 1
+            COUNTERS.mrt_probes += 1
             if not busy & footprint:
                 return unit
         return None

@@ -17,11 +17,14 @@ away from.
 from __future__ import annotations
 
 import atexit
+import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.faults import plan as faults
 from repro.sched import store as sched_store
+from repro.telemetry import COUNTERS, Counters
+from repro.trace import context as trace_context
 
 _POOL: ProcessPoolExecutor | None = None
 _POOL_KEY: tuple | None = None
@@ -31,24 +34,26 @@ _POOL_KEY: tuple | None = None
 #: the replacement workers — the retried work cannot be re-killed.
 _GENERATION = 0
 
-#: Process-lifetime resilience counters, surfaced via :func:`pool_stats`
-#: (and therefore the daemon's ``/stats``).
-RESILIENCE = {"worker_restarts": 0, "tasks_retried": 0}
+#: The counter movement the pool workers sent back with their chunks
+#: (already merged into :data:`repro.telemetry.COUNTERS` as well): the
+#: share of this process's counted work that ran in workers.
+WORKER_COUNTERS = Counters()
 
-
-def reset_resilience() -> None:
-    """Zero the resilience counters (test isolation helper)."""
-    for name in RESILIENCE:
-        RESILIENCE[name] = 0
+#: Pids of the current pool's workers that have returned a chunk.
+WORKER_PIDS: set[int] = set()
 
 
 def _init_worker(token: str | None, generation: int) -> None:
     """Pool-worker initializer: inherit the parent's persistent store
     and enter fault-worker context (re-reading ``REPRO_FAULTS`` so each
-    worker gets fresh, deterministic per-process fault counters)."""
+    worker gets fresh, deterministic per-process fault counters).
+    Spans and a span flush target inherited from a forked parent belong
+    to the parent, so the worker drops them."""
     sched_store.worker_initializer(token)
     faults.set_worker_context(generation)
     faults.reload_from_env()
+    trace_context.set_flush_target(None)
+    trace_context.drain_spans()
 
 
 def _ensure_pool(jobs: int, token: str | None) -> ProcessPoolExecutor:
@@ -72,9 +77,19 @@ def worker_pool(jobs: int) -> ProcessPoolExecutor:
     return _ensure_pool(jobs, sched_store.store_token())
 
 
-def _run_chunk(fn, chunk: list) -> list:
-    """Runs inside one pool worker: apply *fn* to one chunk of items."""
-    return [fn(item) for item in chunk]
+def _run_chunk(fn, chunk: list) -> tuple:
+    """Runs inside one pool worker: apply *fn* to one chunk of items.
+    Returns ``(results, counter delta, spans, pid)`` — the chunk's
+    counter movement and the trace spans it finished travel back with
+    its results, so the parent never has to probe its workers."""
+    before = COUNTERS.snapshot()
+    results = [fn(item) for item in chunk]
+    return (
+        results,
+        COUNTERS.delta(before),
+        trace_context.drain_spans(),
+        os.getpid(),
+    )
 
 
 def imap_resilient(fn, items, jobs: int, chunksize: int = 1):
@@ -90,6 +105,10 @@ def imap_resilient(fn, items, jobs: int, chunksize: int = 1):
     the lost chunks are retried.  A second crash propagates: one retry,
     then the failure is real.  Ordinary task exceptions are *not*
     retried — determinism bugs must not be masked by resubmission.
+
+    As each chunk is consumed, its counter delta is merged into this
+    process's :data:`repro.telemetry.COUNTERS` and its spans join this
+    process's trace buffer.
 
     Returns an iterator over results in input order; submission happens
     eagerly (before the first ``next()``), so the active store captured
@@ -110,12 +129,12 @@ def imap_resilient(fn, items, jobs: int, chunksize: int = 1):
         retried = False
         for index in range(len(chunks)):
             try:
-                results = futures[index].result()
+                outcome = futures[index].result()
             except BrokenProcessPool:
                 if retried:
                     raise
                 retried = True
-                RESILIENCE["worker_restarts"] += 1
+                COUNTERS.worker_restarts += 1
                 _GENERATION += 1
                 shutdown_pool()
                 replacement = _ensure_pool(jobs, token)
@@ -128,8 +147,14 @@ def imap_resilient(fn, items, jobs: int, chunksize: int = 1):
                         _run_chunk, fn, chunks[later]
                     )
                     lost += len(chunks[later])
-                RESILIENCE["tasks_retried"] += lost
-                results = futures[index].result()
+                COUNTERS.tasks_retried += lost
+                outcome = futures[index].result()
+            results, moved, spans, pid = outcome
+            COUNTERS.merge(moved)
+            WORKER_COUNTERS.merge(moved)
+            WORKER_PIDS.add(pid)
+            if spans:
+                trace_context.add_spans(spans)
             yield from results
 
     return _drain()
@@ -143,119 +168,6 @@ def warm_pool(jobs: int) -> None:
         worker_pool(jobs)
 
 
-def _probe_worker(delay: float) -> tuple:
-    """Runs inside one pool worker: its pid plus its process-lifetime
-    cache/work counters.  The tiny sleep keeps one fast worker from
-    draining every probe before its siblings pick one up."""
-    import os
-    import time
-
-    from repro.graph.index import WORK
-    from repro.sched import store as worker_store
-    from repro.sched.cache import STATS
-
-    time.sleep(delay)
-    store = worker_store.active_store()
-    store_health = {
-        "degraded": 1 if store is not None and store.degraded else 0,
-        "write_errors": store.write_errors if store is not None else 0,
-    }
-    return os.getpid(), STATS.as_dict(), WORK.as_dict(), store_health
-
-
-def worker_stats(timeout: float = 10.0) -> dict:
-    """Aggregate per-worker cache/work counters across the persistent
-    pool: ``{"processes": N, "cache": {...summed...}, "work": {...}}``.
-
-    With ``jobs > 1`` the schedule computations happen in pool workers,
-    so the parent's :data:`repro.sched.cache.STATS` never sees them —
-    this is how the daemon's ``/stats`` makes warm-pool hits visible.
-    Collection submits probe tasks until every live worker pid has
-    answered (bounded rounds), so the sum covers the whole pool; with
-    no pool alive the blocks are empty.
-    """
-    if _POOL is None or _POOL_KEY is None or _POOL_KEY[0] <= 1:
-        return {"processes": 0, "cache": {}, "work": {}}
-    jobs = _POOL_KEY[0]
-    try:  # the executor's live worker pids, when the version exposes them
-        expected = set(_POOL._processes or {})
-    except AttributeError:  # pragma: no cover - stdlib internals moved
-        expected = set()
-    seen: dict[int, tuple[dict, dict, dict]] = {}
-    for _ in range(5):
-        futures = [_POOL.submit(_probe_worker, 0.02) for _ in range(jobs)]
-        for future in futures:
-            try:
-                pid, cache, work, store_health = future.result(timeout=timeout)
-            except Exception:  # a dying worker must not break /stats
-                continue
-            seen[pid] = (cache, work, store_health)
-        if not expected or expected <= set(seen):
-            break
-    cache_total: dict[str, int] = {}
-    work_total: dict[str, int] = {}
-    store_total = {"degraded_processes": 0, "write_errors": 0}
-    for cache, work, store_health in seen.values():
-        for name, value in cache.items():
-            cache_total[name] = cache_total.get(name, 0) + value
-        for name, value in work.items():
-            work_total[name] = work_total.get(name, 0) + value
-        store_total["degraded_processes"] += store_health.get("degraded", 0)
-        store_total["write_errors"] += store_health.get("write_errors", 0)
-    return {
-        "processes": len(seen),
-        "cache": cache_total,
-        "work": work_total,
-        "store": store_total,
-    }
-
-
-def _drain_spans_probe(delay: float) -> tuple:
-    """Runs inside one pool worker: its pid plus everything in its
-    process-local trace-span buffer (taken, so spans are collected at
-    most once)."""
-    import os
-    import time
-
-    from repro.trace import context as trace_context
-
-    time.sleep(delay)
-    return os.getpid(), trace_context.drain_spans()
-
-
-def drain_worker_spans(timeout: float = 10.0) -> list[dict]:
-    """Collect the buffered trace spans out of every persistent-pool
-    worker (the service does this before flushing its recorder).
-
-    Same bounded-rounds pid coverage as :func:`worker_stats`; with no
-    pool alive (or ``jobs <= 1`` — in-process compilation, where spans
-    land in the parent's own buffer) this returns ``[]``.
-    """
-    if _POOL is None or _POOL_KEY is None or _POOL_KEY[0] <= 1:
-        return []
-    jobs = _POOL_KEY[0]
-    try:
-        expected = set(_POOL._processes or {})
-    except AttributeError:  # pragma: no cover - stdlib internals moved
-        expected = set()
-    collected: list[dict] = []
-    seen: set[int] = set()
-    for _ in range(5):
-        futures = [
-            _POOL.submit(_drain_spans_probe, 0.02) for _ in range(jobs)
-        ]
-        for future in futures:
-            try:
-                pid, spans = future.result(timeout=timeout)
-            except Exception:  # a dying worker must not break the drain
-                continue
-            seen.add(pid)
-            collected.extend(spans)
-        if not expected or expected <= seen:
-            break
-    return collected
-
-
 def pool_stats() -> dict:
     """Telemetry snapshot of the persistent pool (the server's
     ``/stats`` endpoint): whether one is alive, its width, and the
@@ -264,8 +176,8 @@ def pool_stats() -> dict:
         "alive": _POOL is not None,
         "jobs": _POOL_KEY[0] if _POOL_KEY is not None else 0,
         "store": _POOL_KEY[1] if _POOL_KEY is not None else None,
-        "worker_restarts": RESILIENCE["worker_restarts"],
-        "tasks_retried": RESILIENCE["tasks_retried"],
+        "worker_restarts": COUNTERS.worker_restarts,
+        "tasks_retried": COUNTERS.tasks_retried,
     }
 
 
@@ -276,6 +188,7 @@ def shutdown_pool() -> None:
         _POOL.shutdown()
         _POOL = None
         _POOL_KEY = None
+        WORKER_PIDS.clear()
 
 
 atexit.register(shutdown_pool)

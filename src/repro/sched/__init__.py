@@ -12,7 +12,6 @@ them — the paper's claim that its method is scheduler-agnostic.
 
 from repro.sched.base import Effort, ModuloScheduler, ScheduleError
 from repro.sched.cache import (
-    CacheStats,
     ScheduleMemo,
     cached_mii,
     ddg_fingerprint,
@@ -29,7 +28,6 @@ from repro.sched.swing import SwingScheduler
 from repro.sched.stage_schedule import StageScheduleResult, reduce_stages
 
 __all__ = [
-    "CacheStats",
     "Effort",
     "HRMSScheduler",
     "IMSScheduler",

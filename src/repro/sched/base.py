@@ -111,8 +111,14 @@ class ModuloScheduler(abc.ABC):
 
 
 def _search_window(ddg: DDG, machine: MachineConfig) -> int:
-    """An II that always admits a schedule exists (a fully sequential
-    iteration); searching this far past the start guarantees termination."""
+    """How far past the start II the search goes before giving up: the
+    length of a fully sequential iteration plus slack.
+
+    This is a search bound, not a feasibility guarantee.  For plain
+    operations a sequential iteration fits within it, but spill code
+    grouped into complex operations can fit at no II at all (e.g. two
+    spill loads at the same offset on a machine with one memory unit),
+    so a search may walk the whole window and fail."""
     total_occupancy = sum(
         machine.occupancy(node.opcode) for node in ddg.nodes.values()
     )

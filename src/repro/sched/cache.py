@@ -50,93 +50,20 @@ from repro.graph.ddg import DDG
 from repro.machine.machine import MachineConfig
 from repro.sched import store as _store_mod
 from repro.sched.mii import compute_mii
+from repro.telemetry import CACHE, COUNTERS
 from repro.trace.profile import phase
 
 _MAX_ENTRIES = 4096
 
 
-@dataclass
-class CacheStats:
-    """Hit/miss accounting, reported by the experiment engine.
-
-    ``store_hits``/``store_misses`` count *disk* lookups against the
-    persistent :mod:`repro.sched.store` layer; they only move when a
-    store is active, and only on in-memory memo misses (an in-memory hit
-    never consults the disk).
-
-    ``alloc_hits``/``alloc_misses`` count the lifetime/allocation memo
-    of :func:`repro.lifetimes.requirements.register_requirements`: a hit
-    is served from the schedule-instance memo, the process-wide
-    :class:`AllocMemo` or the persistent store; a miss runs the full
-    lifetime analysis + rotating-file allocation.
-    """
-
-    mii_hits: int = 0
-    mii_misses: int = 0
-    schedule_hits: int = 0
-    schedule_misses: int = 0
-    spill_hits: int = 0
-    spill_misses: int = 0
-    alloc_hits: int = 0
-    alloc_misses: int = 0
-    store_hits: int = 0
-    store_misses: int = 0
-
-    def snapshot(self) -> "CacheStats":
-        """An independent copy of the current counters."""
-        return CacheStats(
-            self.mii_hits, self.mii_misses,
-            self.schedule_hits, self.schedule_misses,
-            self.spill_hits, self.spill_misses,
-            self.alloc_hits, self.alloc_misses,
-            self.store_hits, self.store_misses,
-        )
-
-    def delta(self, before: "CacheStats") -> "CacheStats":
-        """Counter movement since the *before* snapshot."""
-        return CacheStats(
-            self.mii_hits - before.mii_hits,
-            self.mii_misses - before.mii_misses,
-            self.schedule_hits - before.schedule_hits,
-            self.schedule_misses - before.schedule_misses,
-            self.spill_hits - before.spill_hits,
-            self.spill_misses - before.spill_misses,
-            self.alloc_hits - before.alloc_hits,
-            self.alloc_misses - before.alloc_misses,
-            self.store_hits - before.store_hits,
-            self.store_misses - before.store_misses,
-        )
-
-    def add(self, other: "CacheStats") -> None:
-        """Accumulate *other* into this instance (engine aggregation)."""
-        self.mii_hits += other.mii_hits
-        self.mii_misses += other.mii_misses
-        self.schedule_hits += other.schedule_hits
-        self.schedule_misses += other.schedule_misses
-        self.spill_hits += other.spill_hits
-        self.spill_misses += other.spill_misses
-        self.alloc_hits += other.alloc_hits
-        self.alloc_misses += other.alloc_misses
-        self.store_hits += other.store_hits
-        self.store_misses += other.store_misses
-
-    def as_dict(self) -> dict:
-        """The counters as a plain dict (telemetry output)."""
-        return {
-            "mii_hits": self.mii_hits,
-            "mii_misses": self.mii_misses,
-            "schedule_hits": self.schedule_hits,
-            "schedule_misses": self.schedule_misses,
-            "spill_hits": self.spill_hits,
-            "spill_misses": self.spill_misses,
-            "alloc_hits": self.alloc_hits,
-            "alloc_misses": self.alloc_misses,
-            "store_hits": self.store_hits,
-            "store_misses": self.store_misses,
-        }
-
-
-STATS = CacheStats()
+#: The hit/miss counters live in the one process-wide counter set
+#: (:data:`repro.telemetry.COUNTERS`, the ``CACHE`` group).  ``store_*``
+#: counts *disk* lookups against the persistent :mod:`repro.sched.store`
+#: layer; it only moves when a store is active, and only on in-memory
+#: memo misses.  ``alloc_*`` counts the lifetime/allocation memo of
+#: :func:`repro.lifetimes.requirements.register_requirements`.
+#: ``STATS`` is this module's name for that set.
+STATS = COUNTERS
 
 _enabled = True
 _mii_cache: dict[tuple[str, str], int] = {}
@@ -164,9 +91,9 @@ def _store_get(namespace: str, key: tuple):
         return None
     value = store.get(namespace, key)
     if value is None:
-        STATS.store_misses += 1
+        COUNTERS.store_misses += 1
     else:
-        STATS.store_hits += 1
+        COUNTERS.store_hits += 1
     return value
 
 
@@ -204,11 +131,7 @@ def clear() -> None:
     _SPILL_MEMO.clear()
     _ALLOC_MEMO.clear()
     _graph_index.clear_cache()
-    STATS.mii_hits = STATS.mii_misses = 0
-    STATS.schedule_hits = STATS.schedule_misses = 0
-    STATS.spill_hits = STATS.spill_misses = 0
-    STATS.alloc_hits = STATS.alloc_misses = 0
-    STATS.store_hits = STATS.store_misses = 0
+    COUNTERS.reset(CACHE)
 
 
 # ----------------------------------------------------------------------
@@ -367,14 +290,14 @@ def cached_mii(ddg: DDG, machine: MachineConfig) -> int:
     key = (ddg_fingerprint(ddg), machine_key(machine))
     hit = _mii_cache.get(key)
     if hit is not None:
-        STATS.mii_hits += 1
+        COUNTERS.mii_hits += 1
         return hit
     stored = _store_get("mii", key)
     if isinstance(stored, int):
-        STATS.mii_hits += 1
+        COUNTERS.mii_hits += 1
         mii = stored
     else:
-        STATS.mii_misses += 1
+        COUNTERS.mii_misses += 1
         with phase("mii"):
             mii = compute_mii(ddg, machine)
         _store_put("mii", key, mii)
@@ -399,9 +322,6 @@ class ScheduleMemo:
 
     def __init__(self) -> None:
         self._entries: dict[tuple, _MemoEntry] = {}
-        #: This memo's own accounting; the module-wide :data:`STATS`
-        #: totals are updated as well.
-        self.stats = CacheStats()
 
     def clear(self) -> None:
         """Drop every in-memory entry (persistent-store files stay)."""
@@ -434,8 +354,7 @@ class ScheduleMemo:
         )
         entry = self._entries.get(key)
         if entry is not None and ddg_fingerprint(entry.ddg) == key[0]:
-            self.stats.schedule_hits += 1
-            STATS.schedule_hits += 1
+            COUNTERS.schedule_hits += 1
             if entry.error is not None:
                 raise ScheduleError(entry.error)
             return entry.schedule
@@ -443,14 +362,12 @@ class ScheduleMemo:
         if isinstance(stored, _MemoEntry):
             # A disk entry is a fresh unpickled object: its graph cannot
             # have been mutated by anyone, so no revalidation is needed.
-            self.stats.schedule_hits += 1
-            STATS.schedule_hits += 1
+            COUNTERS.schedule_hits += 1
             self._remember(key, stored, persist=False)
             if stored.error is not None:
                 raise ScheduleError(stored.error)
             return stored.schedule
-        self.stats.schedule_misses += 1
-        STATS.schedule_misses += 1
+        COUNTERS.schedule_misses += 1
         try:
             with phase("schedule"):
                 schedule = scheduler.schedule(
@@ -486,17 +403,14 @@ class ScheduleMemo:
         )
         entry = self._entries.get(key)
         if entry is not None and ddg_fingerprint(entry.ddg) == key[0]:
-            self.stats.schedule_hits += 1
-            STATS.schedule_hits += 1
+            COUNTERS.schedule_hits += 1
             return entry.schedule
         stored = _store_get("schedule", key)
         if isinstance(stored, _MemoEntry):
-            self.stats.schedule_hits += 1
-            STATS.schedule_hits += 1
+            COUNTERS.schedule_hits += 1
             self._remember(key, stored, persist=False)
             return stored.schedule
-        self.stats.schedule_misses += 1
-        STATS.schedule_misses += 1
+        COUNTERS.schedule_misses += 1
         with phase("schedule"):
             schedule = scheduler.try_schedule_at(ddg, machine, ii)
         self._remember(key, _MemoEntry(ddg, key[0], schedule, None))
@@ -555,13 +469,13 @@ class DriverMemo:
             if entry is None:
                 return None
             self._install(key, entry)
-        STATS.spill_hits += 1
+        COUNTERS.spill_hits += 1
         return copy(entry)
 
     def put(self, key: tuple, value) -> None:
         """Record a freshly computed run (a private copy the caller can
         never reach) in memory and in the persistent store."""
-        STATS.spill_misses += 1
+        COUNTERS.spill_misses += 1
         self._install(key, value)
         _store_put("spill", key, value)
 
@@ -606,10 +520,10 @@ class AllocMemo:
         if entry is None:
             entry = _store_get("alloc", key)
             if entry is None:
-                STATS.alloc_misses += 1
+                COUNTERS.alloc_misses += 1
                 return None
             self._install(key, entry)
-        STATS.alloc_hits += 1
+        COUNTERS.alloc_hits += 1
         return entry
 
     def put(self, key: tuple, report) -> None:

@@ -49,6 +49,7 @@ import tempfile
 from pathlib import Path
 
 from repro.faults import plan as faults
+from repro.telemetry import COUNTERS
 
 #: Bump to invalidate every existing on-disk entry (the version is part
 #: of the hashed key material *and* checked in the entry header).
@@ -104,6 +105,8 @@ class ScheduleStore:
                 raise
             self.write_errors += 1
             self._degraded = True
+            COUNTERS.store_write_errors += 1
+            COUNTERS.store_degradations += 1
 
     @property
     def degraded(self) -> bool:
@@ -197,9 +200,11 @@ class ScheduleStore:
                 raise
         except OSError:
             self.write_errors += 1
+            COUNTERS.store_write_errors += 1
             self._consecutive_write_errors += 1
             if self._consecutive_write_errors >= _DEGRADE_AFTER:
                 self._degraded = True
+                COUNTERS.store_degradations += 1
                 return self._memory_put(namespace, key, payload)
             return False
         except Exception:

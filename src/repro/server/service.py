@@ -26,20 +26,20 @@ into the batch shape the pipeline is fastest at:
   ``Pipeline.compile_many`` result, whatever the batching or coalescing
   did.
 * **Telemetry.**  :meth:`stats` reports service counters (requests,
-  batches, coalesced, errors, routed cell batches), the
-  :class:`repro.sched.cache.CacheStats` movement and the PR-4
-  :data:`repro.graph.index.WORK` counters for the server lifetime,
-  the **aggregated worker-process counters** (``workers`` block — with
-  ``jobs > 1`` the schedule computations happen in pool workers, and
-  this is where their warm-pool hits show up), store telemetry, the
+  batches, coalesced, errors, routed cell batches — read from the
+  metrics recorder), the :data:`repro.telemetry.COUNTERS` cache and
+  work movement for the server lifetime (pool workers send theirs back
+  with every chunk, so this counts the work wherever it ran), the
+  workers' share of it (``workers`` block), store telemetry, the
   worker-pool state, and the metrics recorder's latency/counter digest
   — the ``/stats`` endpoint.
 * **Metrics.**  Every service owns a
   :class:`repro.metrics.MetricsRecorder`: per-request latency
-  histograms, batch sizes, coalesced hits and per-batch CacheStats
-  deltas, flushed as time-series rows into SQLite when the recorder has
-  a database (``repro serve --cache-dir`` puts it at
-  ``<cache-dir>/metrics.sqlite``).
+  histograms, request/batch/error counters, coalesced hits and
+  per-batch cache-counter deltas, flushed as time-series rows into
+  SQLite when the recorder has a database (``repro serve --cache-dir``
+  puts it at ``<cache-dir>/metrics.sqlite``).  It is also the process's
+  trace-span flush target while the service is open.
 """
 
 from __future__ import annotations
@@ -52,11 +52,11 @@ from concurrent.futures import Future
 
 from repro import pool as worker_pool_mod
 from repro.api import Pipeline
-from repro.graph.index import WORK
 from repro.metrics import MetricsRecorder
 from repro.metrics.prom import render_prometheus
 from repro.sched import store as sched_store
-from repro.sched.cache import STATS, CacheStats, compile_request_key
+from repro.sched.cache import compile_request_key
+from repro.telemetry import CACHE, COUNTERS, WORK, Counters
 from repro.trace import context as trace_context
 
 STATS_SCHEMA = "repro.server-stats/2"
@@ -159,21 +159,9 @@ class CompileService:
         self._draining = False
         self._dispatcher: threading.Thread | None = None
         # lifetime baselines: /stats reports movement since construction
-        self._cache_base = STATS.snapshot()
-        self._work_base = WORK.snapshot()
-        self._worker_counters_last: dict[str, int] = {}
-        self.requests_total = 0
-        self.coalesced_total = 0
-        self.batches_total = 0
-        self.compiled_total = 0
-        self.errors_total = 0
-        self.cells_total = 0
-        self.cell_batches_total = 0
-        self.shed_total = 0
-        self.timeouts_total = 0
-        # whether any traced request ever reached a batch — gates the
-        # (pool-probing) worker span drain so untraced daemons never pay
-        self._traced_seen = False
+        self._counters_base = COUNTERS.snapshot()
+        self._workers_base = worker_pool_mod.WORKER_COUNTERS.snapshot()
+        trace_context.set_flush_target(self.metrics.record_spans)
         if self.jobs > 1:
             # warm the shared pool under this pipeline's store so the
             # first batch pays no worker spin-up
@@ -211,7 +199,7 @@ class CompileService:
         with self._lock:
             self._draining = True
             self._lock.notify_all()
-        self._flush_spans(collect_workers=True)
+        self._flush_spans()
         self.metrics.flush()
 
     def wait_idle(self, timeout: float = 30.0) -> bool:
@@ -236,7 +224,8 @@ class CompileService:
             self._lock.notify_all()
         if self._dispatcher is not None:
             self._dispatcher.join(timeout=30)
-        self._flush_spans(collect_workers=True)
+        trace_context.set_flush_target(None)
+        self._flush_spans()
         self.metrics.close()
 
     def __enter__(self) -> "CompileService":
@@ -295,11 +284,9 @@ class CompileService:
                 raise ServiceShuttingDown(
                     "compile service is draining for shutdown"
                 )
-            self.requests_total += 1
             self.metrics.count("requests")
             entry = self._inflight.get(key)
             if entry is not None:
-                self.coalesced_total += 1
                 self.metrics.count("coalesced")
                 # the joiner's own trace still shows where its request
                 # went: a zero-duration marker pointing at the shared
@@ -318,7 +305,6 @@ class CompileService:
                     entry.deadline = deadline
             else:
                 if len(self._queue) >= self.max_queue:
-                    self.shed_total += 1
                     self.metrics.count("shed")
                     raise ServiceBusy(
                         f"compile queue full ({self.max_queue} pending); "
@@ -391,8 +377,6 @@ class CompileService:
         return results
 
     def _count_timeout(self) -> None:
-        with self._lock:
-            self.timeouts_total += 1
         self.metrics.count("timeouts")
 
     # ------------------------------------------------------------------
@@ -418,7 +402,6 @@ class CompileService:
                     entry = self._inflight[key]
                     if entry.deadline is not None and now > entry.deadline:
                         self._inflight.pop(key, None)
-                        self.timeouts_total += 1
                         expired.append((key, entry))
                     else:
                         batch.append((key, entry))
@@ -431,7 +414,7 @@ class CompileService:
                 )
             if batch:
                 self._run_batch(batch)
-            self._flush_spans(collect_workers=False)
+            self._flush_spans()
             self.metrics.maybe_flush()
 
     def _run_batch(self, batch: list[tuple]) -> None:
@@ -439,7 +422,6 @@ class CompileService:
         requests = []
         for _, entry in batch:
             if entry.trace is not None:
-                self._traced_seen = True
                 # queue wait: enqueue to batch dispatch
                 trace_context.record_span(
                     "service.queue", "service",
@@ -452,12 +434,11 @@ class CompileService:
                 requests.append(request)
             else:
                 requests.append(entry.request)
-        cache_before = STATS.snapshot()
+        before = COUNTERS.snapshot()
         try:
             results = self.pipeline.compile_many(requests, jobs=self.jobs)
         except BaseException as error:  # pool death, store I/O, bugs
             with self._lock:
-                self.errors_total += len(batch)
                 for key, entry in batch:
                     self._inflight.pop(key, None)
             self.metrics.count("errors", len(batch))
@@ -465,8 +446,6 @@ class CompileService:
                 entry.future.set_exception(error)
             return
         with self._lock:
-            self.batches_total += 1
-            self.compiled_total += len(batch)
             for key, _ in batch:
                 self._inflight.pop(key, None)
         elapsed = time.perf_counter() - started
@@ -480,36 +459,23 @@ class CompileService:
         self.metrics.observe("batch", elapsed)
         self.metrics.count("batches")
         self.metrics.count("batch_requests", len(batch))
-        self._record_cache_movement(STATS.delta(cache_before))
+        self._record_cache_movement(COUNTERS.delta(before))
         for (_, entry), result in zip(batch, results):
             entry.future.set_result(result)
 
-    def _record_cache_movement(self, delta: CacheStats) -> None:
-        """One batch's parent-process CacheStats movement, as
-        time-series counters (``cache_schedule_hits``-style names)."""
+    def _record_cache_movement(self, delta: Counters) -> None:
+        """One batch's cache-counter movement, as time-series counters
+        (``cache_schedule_hits``-style names)."""
         self.metrics.count_many({
             f"cache_{name}": value
-            for name, value in delta.as_dict().items()
+            for name, value in delta.as_dict(CACHE).items()
         })
 
-    def _flush_spans(self, collect_workers: bool) -> None:
-        """Move finished trace spans into the metrics recorder.
-
-        The local buffer drain is one lock acquisition — cheap enough
-        for every dispatch-loop pass.  *collect_workers* additionally
-        probes the pool workers' buffers (drain/close/stats only, and
-        only when tracing was ever in play — the probe submits pool
-        tasks)."""
+    def _flush_spans(self) -> None:
+        """Move finished trace spans (pool workers' included — they
+        arrive with each chunk) into the metrics recorder: one lock
+        acquisition, cheap enough for every dispatch-loop pass."""
         spans = trace_context.drain_spans()
-        if (
-            collect_workers
-            and self.jobs > 1
-            and (self._traced_seen or trace_context.tracing_enabled())
-        ):
-            try:
-                spans.extend(worker_pool_mod.drain_worker_spans())
-            except Exception:
-                pass  # a broken pool must not break shutdown/stats
         if spans:
             self.metrics.record_spans(spans)
 
@@ -522,10 +488,10 @@ class CompileService:
 
         Returns ``(results, cache)``: one deterministic cell-data dict
         per input cell, **in input order**, plus the batch's
-        parent-process CacheStats movement.  The data dicts are exactly
-        what a local :func:`repro.eval.engine.evaluate_cell` produces,
-        so a sweep routed through a cluster is byte-identical to a
-        local one.  One cell batch runs at a time (cell evaluation
+        :data:`repro.telemetry.COUNTERS` movement (pool workers'
+        included).  The data dicts are exactly what a local
+        :func:`repro.eval.engine.evaluate_cell` produces, so a sweep
+        routed through a cluster is byte-identical to a local one.  One cell batch runs at a time (cell evaluation
         shares the process-wide memos).
         """
         from repro.eval.engine import (
@@ -538,8 +504,6 @@ class CompileService:
         with self._lock:
             if self._closed:
                 raise ServiceClosed("compile service is shut down")
-            self.cells_total += len(cells)
-            self.cell_batches_total += 1
             self.metrics.count("cells", len(cells))
             self.metrics.count("cell_batches")
         started = time.perf_counter()
@@ -552,9 +516,7 @@ class CompileService:
         # cells must evaluate HERE even when this process also holds a
         # ClusterClient context (in-process daemons in tests)
         with self._cells_lock, context, routed_through(None):
-            cache_before = STATS.snapshot()
             run = run_cells(cells, jobs=self.jobs)
-            delta = STATS.delta(cache_before)
         if trace_context.current() is not None:
             trace_context.record_span(
                 "service.cells", "service",
@@ -562,9 +524,9 @@ class CompileService:
                 attrs={"cells": len(cells)},
             )
         self.metrics.observe("cells_batch", time.perf_counter() - started)
-        self._record_cache_movement(delta)
+        self._record_cache_movement(run.cache)
         by_cell = {result.cell: result.data for result in run.results}
-        return [by_cell[cell] for cell in cells], delta.as_dict()
+        return [by_cell[cell] for cell in cells], run.cache.as_dict()
 
     # ------------------------------------------------------------------
     # telemetry
@@ -591,33 +553,36 @@ class CompileService:
 
     def stats(self) -> dict:
         """The ``/stats`` document: service counters, cache/work counter
-        movement since the service started (parent process **and** the
-        aggregated pool workers), store/pool telemetry and the metrics
-        digest."""
+        movement since the service started (wherever the work ran, with
+        the pool workers' share broken out), store/pool telemetry and
+        the metrics digest."""
         store = self.pipeline.cache
         if store is None:
             store = sched_store.active_store()
+        recorded = self.metrics.counter_snapshot()
+        recorded["compiled"] = recorded.get("batch_requests", 0)
+        counters = {
+            name: recorded.get(name, 0)
+            for name in (
+                "requests", "coalesced", "batches", "compiled", "errors",
+                "cells", "cell_batches", "shed", "timeouts",
+            )
+        }
         with self._lock:
-            counters = {
-                "requests": self.requests_total,
-                "coalesced": self.coalesced_total,
-                "batches": self.batches_total,
-                "compiled": self.compiled_total,
-                "errors": self.errors_total,
-                "cells": self.cells_total,
-                "cell_batches": self.cell_batches_total,
-                "shed": self.shed_total,
-                "timeouts": self.timeouts_total,
-                "max_queue": self.max_queue,
-                "queued": len(self._queue),
-                "inflight": len(self._inflight),
+            counters["max_queue"] = self.max_queue
+            counters["queued"] = len(self._queue)
+            counters["inflight"] = len(self._inflight)
+        moved = COUNTERS.delta(self._counters_base)
+        cache = moved.as_dict(CACHE)
+        workers = {"processes": 0, "cache": {}, "work": {}}
+        if self.jobs > 1:
+            share = worker_pool_mod.WORKER_COUNTERS.delta(self._workers_base)
+            workers = {
+                "processes": len(worker_pool_mod.WORKER_PIDS),
+                "cache": share.as_dict(CACHE),
+                "work": share.as_dict(WORK),
             }
-        workers = self._aggregate_workers()
-        cache = STATS.delta(self._cache_base).as_dict()
-        cache_total = dict(cache)
-        for name, value in workers["cache"].items():
-            cache_total[name] = cache_total.get(name, 0) + value
-        self._flush_spans(collect_workers=True)
+        self._flush_spans()
         self.metrics.maybe_flush()
         return {
             "schema": STATS_SCHEMA,
@@ -626,8 +591,9 @@ class CompileService:
             "service": counters,
             "cache": cache,
             "workers": workers,
-            "cache_total": cache_total,
-            "work": WORK.delta(self._work_base).as_dict(),
+            # equal to ``cache``, which now counts the workers' work too
+            "cache_total": dict(cache),
+            "work": moved.as_dict(WORK),
             "store": store.stats() if store is not None else None,
             "pool": worker_pool_mod.pool_stats(),
             "metrics": self.metrics.summary(),
@@ -649,21 +615,3 @@ class CompileService:
             gauges,
             self.metrics.histogram_snapshot(),
         )
-
-    def _aggregate_workers(self) -> dict:
-        """The pool workers' summed cache/work counters (only probed
-        when this service actually fans out, i.e. ``jobs > 1``).  The
-        movement since the last probe is also fed into the metrics
-        recorder (``worker_cache_*`` time series), so warm-pool hits
-        reach the persistent layer too."""
-        if self.jobs <= 1:
-            return {"processes": 0, "cache": {}, "work": {}}
-        workers = worker_pool_mod.worker_stats()
-        movement = {}
-        for name, value in workers["cache"].items():
-            delta = value - self._worker_counters_last.get(name, 0)
-            if delta > 0:
-                movement[f"worker_cache_{name}"] = delta
-            self._worker_counters_last[name] = value
-        self.metrics.count_many(movement)
-        return workers

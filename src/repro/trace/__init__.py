@@ -4,7 +4,7 @@ Three pieces, strictly out-of-band of result bytes:
 
 * :mod:`repro.trace.context` — :class:`TraceContext` propagation
   (client → cluster → server → service → pool worker) and the bounded
-  process-local span buffer;
+  process-local span buffer with its flush target;
 * :mod:`repro.trace.profile` — the exclusive-time
   :class:`PhaseProfile` behind every ``compile`` span (index build,
   MII, scheduling, lifetimes, allocation, spill, verify);
@@ -24,6 +24,7 @@ from repro.trace.context import (
     TRACED_OPS,
     TraceContext,
     activate,
+    add_spans,
     client_scope,
     current,
     drain_spans,
@@ -34,6 +35,7 @@ from repro.trace.context import (
     record_span,
     reset,
     server_scope,
+    set_flush_target,
     span,
     span_count,
     tracing_enabled,
@@ -60,6 +62,7 @@ __all__ = [
     "PhaseProfile",
     "TraceContext",
     "activate",
+    "add_spans",
     "active_profile",
     "client_scope",
     "current",
@@ -74,6 +77,7 @@ __all__ = [
     "record_span",
     "reset",
     "server_scope",
+    "set_flush_target",
     "span",
     "span_count",
     "tracing_enabled",

@@ -12,11 +12,18 @@ a compile result document, so traced output stays byte-identical to
 untraced output.
 
 Finished spans accumulate in one bounded process-local buffer
-(:func:`record_span` / :func:`drain_spans`).  Daemons drain the buffer
-into their :class:`repro.metrics.MetricsRecorder`; pool workers are
-drained by :func:`repro.pool.drain_worker_spans`.  The buffer is
-process-global by design — in-process multi-service tests share it, and
-separate daemon processes each own theirs.
+(:func:`record_span` / :func:`drain_spans`).  A pool worker's spans
+travel back with each chunk it returns and join the parent's buffer
+(:func:`add_spans`, called by :func:`repro.pool.imap_resilient`).
+Daemons drain the buffer into their
+:class:`repro.metrics.MetricsRecorder`.  The buffer is process-global by
+design — in-process multi-service tests share it, and separate daemon
+processes each own theirs.
+
+A full buffer is written to the process's one **flush target**
+(:func:`set_flush_target`: ``repro sweep --trace`` sets its span
+database, a daemon its recorder).  With no target it evicts its oldest
+spans instead and counts them (:func:`dropped_count`).
 
 Tracing is **on** for a piece of code when either
 
@@ -45,8 +52,9 @@ ENV_VAR = "REPRO_TRACE"
 #: The span layers the stack records, outermost first.
 LAYERS = ("client", "server", "service", "worker", "phase")
 
-#: Bounded size of the process-local finished-span buffer; overflow
-#: drops the oldest spans (observability must never grow without bound).
+#: Bounded size of the process-local finished-span buffer; a full
+#: buffer goes to the flush target, or without one its oldest spans are
+#: dropped (observability must never grow without bound).
 SPAN_BUFFER_CAP = 8192
 
 _ENABLED: bool | None = None  # None → read $REPRO_TRACE on first use
@@ -54,6 +62,7 @@ _local = threading.local()
 _buffer_lock = threading.Lock()
 _buffer: list[dict] = []
 _dropped = 0
+_flush_target = None
 
 
 def _new_id() -> str:
@@ -127,8 +136,9 @@ def enable(flag: bool = True) -> None:
 def reset() -> None:
     """Forget the programmatic switch and any buffered spans — back to
     lazy ``$REPRO_TRACE`` behaviour (test isolation helper)."""
-    global _ENABLED, _dropped
+    global _ENABLED, _dropped, _flush_target
     _ENABLED = None
+    _flush_target = None
     with _buffer_lock:
         _buffer.clear()
         _dropped = 0
@@ -184,7 +194,6 @@ def record_span(
     span is dropped (returns ``None``): an orphan span cannot be
     attributed to any trace.
     """
-    global _dropped
     if context is None:
         parent = current()
         if parent is None:
@@ -200,13 +209,39 @@ def record_span(
         "dur_ms": round(float(duration_ms), 3),
         "attrs": dict(attrs) if attrs else {},
     }
-    with _buffer_lock:
-        _buffer.append(span)
-        overflow = len(_buffer) - SPAN_BUFFER_CAP
-        if overflow > 0:
-            del _buffer[:overflow]
-            _dropped += overflow
+    add_spans([span])
     return span
+
+
+def add_spans(spans: list[dict]) -> None:
+    """Append finished spans (a pool worker's, or one new span) to the
+    process buffer; a full buffer goes to the flush target."""
+    global _dropped
+    target = full = None
+    with _buffer_lock:
+        _buffer.extend(spans)
+        if len(_buffer) >= SPAN_BUFFER_CAP:
+            target = _flush_target
+            if target is not None:
+                full = _buffer[:]
+                _buffer.clear()
+            else:
+                overflow = len(_buffer) - SPAN_BUFFER_CAP
+                del _buffer[:overflow]
+                _dropped += overflow
+    if full is not None:
+        try:
+            target(full)
+        except Exception:  # a broken target costs spans, never work
+            with _buffer_lock:
+                _dropped += len(full)
+
+
+def set_flush_target(target) -> None:
+    """Write every full buffer to *target* (a callable taking a list of
+    spans) instead of evicting; ``None`` restores drop-oldest."""
+    global _flush_target
+    _flush_target = target
 
 
 def drain_spans() -> list[dict]:

@@ -24,7 +24,7 @@ catches the remainder).  That is the property the acceptance check
 leans on: per-request phase sums reconcile with the recorded span
 duration.
 
-The hooks sit at the existing ``WORK``-counter seams and reduce to one
+The hooks sit at the existing work-counter seams and reduce to one
 thread-local read plus a shared no-op context manager when no profile
 is active, so untraced compilation pays effectively nothing.
 """

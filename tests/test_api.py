@@ -468,30 +468,27 @@ class TestSpillRunMemo:
         assert sched_cache.STATS.spill_misses == 0
 
 
-class TestDeprecatedShims:
-    def test_core_entry_points_warn_and_delegate(self):
-        import repro.core as core
-
-        with pytest.warns(DeprecationWarning, match="compile_loop"):
-            result = core.schedule_with_spilling(_fig2(), _machine(), 6)
-        assert result.converged
-
-    @pytest.mark.parametrize("entry, strategy", [
-        ("schedule_with_spilling", "spill"),
-        ("schedule_increasing_ii", "increase"),
+class TestLegacyEntryPointsRemoved:
+    @pytest.mark.parametrize("entry, module", [
+        ("schedule_with_spilling", "driver"),
+        ("schedule_increasing_ii", "increase_ii"),
         ("schedule_best_of_both", "combined"),
         ("schedule_with_prescheduling_spill", "prespill"),
     ])
-    def test_every_shim_names_its_replacement(self, entry, strategy):
-        """Each legacy entry point's warning must spell out the exact
-        compile_loop call that replaces it."""
+    def test_only_the_implementation_module_exports_it(self, entry, module):
+        """The per-method entry points live only in their
+        implementation modules; the package roots export the
+        :func:`compile_loop` facade instead."""
+        import importlib
+
+        import repro
         import repro.core as core
 
-        expected = f"repro.api.compile_loop(..., strategy={strategy!r})"
-        with pytest.warns(DeprecationWarning) as caught:
-            getattr(core, entry)(_fig2(), _machine(), 32)
-        messages = [str(w.message) for w in caught]
-        assert any(expected in message for message in messages), messages
+        assert not hasattr(core, entry)
+        assert not hasattr(repro, entry)
+        assert callable(
+            getattr(importlib.import_module(f"repro.core.{module}"), entry)
+        )
 
 
 class TestEngineIntegration:

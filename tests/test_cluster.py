@@ -11,7 +11,7 @@ The contracts under test, in the order the ISSUE states them:
   still matches direct in-process compilation byte for byte;
 * ``connect()`` retries transient connection errors with bounded
   backoff (``retries=0`` fails fast);
-* the daemon's ``/stats`` aggregates worker-process CacheStats;
+* the daemon's ``/stats`` counts worker-process cache work exactly;
 * metrics: recorder histograms/counters, SQLite persistence, mergeable
   buckets and percentile estimation;
 * a routed sweep is byte-identical to a local one, with every cell
@@ -29,6 +29,7 @@ import urllib.request
 
 import pytest
 
+from repro import pool
 from repro.api import Pipeline
 from repro.client import ClientError, TCPClient, connect, is_transient_error
 from repro.cluster import ClusterClient, HashRing, parse_addresses
@@ -41,6 +42,7 @@ from repro.eval.engine import (
     workload_cells,
 )
 from repro.machine.specs import resolve_machine
+from repro.sched import cache as sched_cache
 from repro.metrics import (
     BUCKET_BOUNDS_MS,
     LatencyHistogram,
@@ -279,7 +281,8 @@ class TestClusterClient:
             [r.data for r in local.results]
         # the shards counted every cell exactly once
         counted = sum(
-            service.cells_total for service, _, _ in shard_pair
+            service.stats()["service"]["cells"]
+            for service, _, _ in shard_pair
         )
         assert counted == len(cells)
 
@@ -310,7 +313,7 @@ class TestCellWire:
             assert response["ok"]
             assert response["results"] == [local[cell] for cell in cells]
             assert "schedule_misses" in response["cache"]
-            assert service.cells_total == len(cells)
+            assert service.stats()["service"]["cells"] == len(cells)
 
 
 # ======================================================================
@@ -371,23 +374,80 @@ class TestConnectRetries:
 
 # ======================================================================
 class TestWorkerStatsAggregation:
+    """Pool workers send their counter deltas back with every chunk, so
+    ``/stats`` counts the work wherever it ran — exactly, and without
+    probing the pool."""
+
+    REQUESTS = [
+        {"loop": f"w{i}[i] = v{i}[i]*a + w{i}[i-2]", "registers": 12}
+        for i in range(4)
+    ]
+
+    @staticmethod
+    def cold_stats(jobs: int, requests: list) -> dict:
+        """``/stats`` after one batch on a fresh pool with cleared
+        memos (workers fork from a parent holding no memo entries)."""
+        pool.shutdown_pool()
+        sched_cache.clear()
+        try:
+            with CompileService(batch_window=0.0, jobs=jobs) as service:
+                service.compile_many(requests)
+                return service.stats()
+        finally:
+            pool.shutdown_pool()
+
     def test_stats_include_worker_cache_movement(self):
-        with CompileService(batch_window=0.0, jobs=2) as service:
-            requests = [
-                {"loop": f"w{i}[i] = v{i}[i]*a + w{i}[i-2]",
-                 "registers": 12}
-                for i in range(4)
-            ]
-            service.compile_many(requests)
-            stats = service.stats()
+        stats = self.cold_stats(2, self.REQUESTS)
         assert stats["schema"] == "repro.server-stats/2"
         workers = stats["workers"]
         assert workers["processes"] >= 1
-        # the schedule computations happened in the pool: the parent's
-        # counters alone miss them, the aggregate does not
-        assert workers["cache"]["schedule_misses"] >= len(requests)
-        assert stats["cache_total"]["schedule_misses"] >= \
-            stats["cache"]["schedule_misses"] + len(requests)
+        assert workers["cache"]["schedule_misses"] >= len(self.REQUESTS)
+        # ``cache`` counts the work wherever it ran, workers included;
+        # ``cache_total`` keeps its name and now equals it
+        assert stats["cache"]["schedule_misses"] >= \
+            workers["cache"]["schedule_misses"]
+        assert stats["cache_total"] == stats["cache"]
+        assert stats["work"]["index_builds"] >= \
+            workers["work"]["index_builds"] > 0
+
+    def test_worker_counts_are_exact(self):
+        serial = self.cold_stats(1, self.REQUESTS)
+        parallel = self.cold_stats(2, self.REQUESTS)
+        misses = serial["cache"]["schedule_misses"]
+        assert misses >= len(self.REQUESTS)
+        assert parallel["workers"]["cache"]["schedule_misses"] == misses
+        assert parallel["cache"]["schedule_misses"] == misses
+
+    def test_routed_cells_count_worker_misses(self):
+        cells = workload_cells(
+            "table1", perfect_club_like_suite(size=12),
+            resolve_machine("P2L4"), budget=32,
+        )
+        pool.shutdown_pool()
+        sched_cache.clear()
+        try:
+            with CompileService(batch_window=0.0, jobs=2) as service:
+                _, cache = service.evaluate_cells(
+                    [cell_to_wire(cell) for cell in cells]
+                )
+                stats = service.stats()
+        finally:
+            pool.shutdown_pool()
+        assert cache["schedule_misses"] > 0
+        assert stats["cache"]["schedule_misses"] == cache["schedule_misses"]
+        assert stats["workers"]["cache"]["schedule_misses"] > 0
+
+    def test_stats_submit_no_pool_task(self, monkeypatch):
+        with CompileService(batch_window=0.0, jobs=2) as service:
+            service.compile_many(self.REQUESTS[:2])
+            submitted = []
+            live = pool.worker_pool(2)
+            monkeypatch.setattr(
+                live, "submit",
+                lambda *args, **kwargs: submitted.append(args),
+            )
+            service.stats()
+        assert submitted == []
 
     def test_single_job_service_reports_no_workers(self):
         with CompileService(batch_window=0.0, jobs=1) as service:
@@ -489,7 +549,10 @@ class TestRoutedSweep:
         assert routed.to_json_text() == direct.to_json_text()
         # every cell was counted on exactly one shard, split exactly as
         # the ring dictates
-        counted = [service.cells_total for service, _, _ in shard_pair]
+        counted = [
+            service.stats()["service"]["cells"]
+            for service, _, _ in shard_pair
+        ]
         assert sum(counted) == len(direct.run.results) > 0
         expected = {address: 0 for address in addresses}
         ring = HashRing(addresses)

@@ -2,11 +2,9 @@
 
 import pytest
 
-from repro.core import (
-    schedule_best_of_both,
-    schedule_increasing_ii,
-    schedule_with_spilling,
-)
+from repro.core.combined import schedule_best_of_both
+from repro.core.driver import schedule_with_spilling
+from repro.core.increase_ii import schedule_increasing_ii
 from repro.machine import p2l4
 from repro.workloads import apsi47_like, apsi50_like
 

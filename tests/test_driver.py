@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import SelectionPolicy, schedule_with_spilling
+from repro.core import SelectionPolicy
+from repro.core.driver import schedule_with_spilling
 from repro.graph import ddg_from_source
 from repro.lifetimes import register_requirements
 from repro.machine import generic_machine, p2l4

@@ -8,11 +8,9 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core import (
-    schedule_best_of_both,
-    schedule_increasing_ii,
-    schedule_with_spilling,
-)
+from repro.core.combined import schedule_best_of_both
+from repro.core.driver import schedule_with_spilling
+from repro.core.increase_ii import schedule_increasing_ii
 from repro.graph import ddg_from_source
 from repro.lifetimes import register_requirements
 from repro.machine import p2l4

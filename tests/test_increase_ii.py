@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import schedule_increasing_ii
+from repro.core.increase_ii import schedule_increasing_ii
 from repro.core.increase_ii import distance_register_floor
 from repro.graph import ddg_from_source
 from repro.machine import generic_machine, p2l4

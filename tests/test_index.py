@@ -27,7 +27,7 @@ from repro.graph.analysis import (
     strongly_connected_components,
 )
 from repro.graph.ddg import DDG, Edge, EdgeKind, Node
-from repro.graph.index import WORK, get_index
+from repro.graph.index import get_index
 from repro.ir.operations import FuClass, Opcode
 from repro.machine.machine import generic_machine, p2l4
 from repro.machine.mrt import ModuloReservationTable
@@ -37,6 +37,7 @@ from repro.sched.ims import IMSScheduler
 from repro.sched.mii import compute_mii, rec_mii
 from repro.sched.ordering import order_nodes, partition_sets
 from repro.sched.swing import SwingScheduler
+from repro.telemetry import COUNTERS
 from repro.workloads import random_suite
 
 MACHINE = p2l4()
@@ -187,13 +188,13 @@ class TestLongestPathsMatchOracle:
         for _, ddg in _graphs(workloads):
             latencies = MACHINE.latencies_for(ddg)
             ii = compute_mii(ddg, MACHINE)
-            before = WORK.snapshot()
+            before = COUNTERS.snapshot()
             longest_path_lengths(ddg, latencies, ii)
             longest_path_lengths(ddg, latencies, ii, reverse=True)
-            middle = WORK.snapshot()
+            middle = COUNTERS.snapshot()
             longest_path_lengths_reference(ddg, latencies, ii)
             longest_path_lengths_reference(ddg, latencies, ii, reverse=True)
-            after = WORK.snapshot()
+            after = COUNTERS.snapshot()
             fast += middle.delta(before).relax_visits
             slow += after.delta(middle).relax_visits
         assert fast * 3 <= slow, (fast, slow)

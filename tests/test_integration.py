@@ -5,11 +5,9 @@ sample, for every scheduler and the paper's register budgets."""
 import pytest
 
 from repro.codegen import emit_loop
-from repro.core import (
-    schedule_best_of_both,
-    schedule_increasing_ii,
-    schedule_with_spilling,
-)
+from repro.core.combined import schedule_best_of_both
+from repro.core.driver import schedule_with_spilling
+from repro.core.increase_ii import schedule_increasing_ii
 from repro.lifetimes import allocate_registers, register_requirements
 from repro.machine import p1l4, p2l4, p2l6
 from repro.sched import HRMSScheduler

@@ -18,7 +18,6 @@ from repro.core.increase_ii import distance_register_floor
 from repro.core.prespill import static_lifetimes
 from repro.graph import ddg_from_source
 from repro.graph.analysis import longest_path_lengths
-from repro.graph.index import WORK
 from repro.lifetimes import (
     allocate_registers,
     allocate_registers_reference,
@@ -39,6 +38,7 @@ from repro.sched import store as sched_store
 from repro.sched.hrms import HRMSScheduler
 from repro.sched.ims import IMSScheduler
 from repro.sched.swing import SwingScheduler
+from repro.telemetry import COUNTERS
 from repro.workloads import NAMED_KERNELS, random_suite
 
 MACHINE = p2l4()
@@ -231,11 +231,11 @@ class TestAllocatorParity:
     def test_bitmask_path_does_less_probe_work(self, workloads):
         fast = slow = 0
         for name, schedule in _schedules(workloads):
-            before = WORK.snapshot()
+            before = COUNTERS.snapshot()
             allocate_registers(schedule)
-            middle = WORK.snapshot()
+            middle = COUNTERS.snapshot()
             allocate_registers_reference(schedule)
-            after = WORK.snapshot()
+            after = COUNTERS.snapshot()
             fast += middle.delta(before).alloc_probes
             slow += after.delta(middle).alloc_probes
         assert fast > 0 and slow > 0

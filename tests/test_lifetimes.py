@@ -108,7 +108,7 @@ class TestSpillabilityMarking:
     def test_spill_created_values_not_spillable(
         self, fig2_loop, fig2_machine
     ):
-        from repro.core import schedule_with_spilling
+        from repro.core.driver import schedule_with_spilling
 
         result = schedule_with_spilling(fig2_loop, fig2_machine, available=6)
         lifetimes = variant_lifetimes(result.schedule)

@@ -3,7 +3,7 @@ exact numbers of Figures 2, 3, 5 and 6."""
 
 import pytest
 
-from repro.core import schedule_with_spilling
+from repro.core.driver import schedule_with_spilling
 from repro.graph.ddg import EdgeKind
 from repro.ir.operations import Opcode
 from repro.lifetimes import max_live, register_requirements, variant_lifetimes

@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.core import (
+from repro.core.driver import schedule_with_spilling
+from repro.core.prespill import (
+    estimated_pressure,
     schedule_with_prescheduling_spill,
-    schedule_with_spilling,
+    static_lifetimes,
 )
-from repro.core.prespill import estimated_pressure, static_lifetimes
 from repro.machine import p2l4
 from repro.sched import compute_mii
 from repro.workloads import apsi47_like, apsi50_like

@@ -49,6 +49,7 @@ from repro.server.service import (
     ServiceShuttingDown,
     ServiceTimeout,
 )
+from repro.telemetry import COUNTERS
 from repro.workloads.suite import perfect_club_like_suite
 
 FIG2 = "x[i] = y[i]*a + y[i-3]"
@@ -182,17 +183,17 @@ class TestWorkerCrashRecovery:
             faults.ENV_VAR, "pool.kill_before_cell:nth=2:gen=0"
         )
         pool.shutdown_pool()
-        pool.reset_resilience()
+        before = COUNTERS.snapshot()
         try:
             run = run_cells(cells, jobs=2)
         finally:
             pool.shutdown_pool()
         assert [result.data for result in run.results] == baseline_data
-        assert pool.RESILIENCE["worker_restarts"] == 1
-        assert pool.RESILIENCE["tasks_retried"] >= 1
+        moved = COUNTERS.delta(before)
+        assert moved.worker_restarts == 1
+        assert moved.tasks_retried >= 1
         stats = pool.pool_stats()
-        assert stats["worker_restarts"] == 1
-        pool.reset_resilience()
+        assert stats["worker_restarts"] == before.worker_restarts + 1
 
     def test_second_pool_break_propagates(self, monkeypatch):
         from concurrent.futures.process import BrokenProcessPool
@@ -203,7 +204,6 @@ class TestWorkerCrashRecovery:
         # dies too, and the second break must be surfaced, not hidden
         monkeypatch.setenv(faults.ENV_VAR, "pool.kill_before_cell")
         pool.shutdown_pool()
-        pool.reset_resilience()
         suite = perfect_club_like_suite(size=2)
         cells = workload_cells("ideal", suite, resolve_machine("P2L4"))
         try:
@@ -211,20 +211,20 @@ class TestWorkerCrashRecovery:
                 run_cells(cells, jobs=2)
         finally:
             pool.shutdown_pool()
-            pool.reset_resilience()
 
     def test_task_exceptions_are_not_retried(self):
         from repro import pool
 
         pool.shutdown_pool()
-        pool.reset_resilience()
+        before = COUNTERS.snapshot()
         try:
             with pytest.raises(ValueError, match="bad item"):
                 list(pool.imap_resilient(_explode, [1, 2], jobs=2))
         finally:
             pool.shutdown_pool()
-        assert pool.RESILIENCE["worker_restarts"] == 0
-        assert pool.RESILIENCE["tasks_retried"] == 0
+        moved = COUNTERS.delta(before)
+        assert moved.worker_restarts == 0
+        assert moved.tasks_retried == 0
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,7 @@ class TestValidation:
             schedule.validate()
 
     def test_broken_complex_operation_detected(self, fig2_loop, fig2_machine):
-        from repro.core import schedule_with_spilling
+        from repro.core.driver import schedule_with_spilling
 
         result = schedule_with_spilling(fig2_loop, fig2_machine, available=6)
         good = result.schedule

@@ -76,7 +76,7 @@ class TestSwingSlotChoice:
         assert swing.effort_placements >= hrms.effort_placements
 
     def test_swing_handles_groups(self, fig2_loop, fig2_machine):
-        from repro.core import schedule_with_spilling
+        from repro.core.driver import schedule_with_spilling
 
         result = schedule_with_spilling(
             fig2_loop, fig2_machine, 6, scheduler=SwingScheduler()

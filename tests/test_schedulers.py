@@ -113,7 +113,7 @@ class TestGroupedScheduling:
     """Schedulers must handle the spiller's complex operations."""
 
     def _spilled_graph(self, fig2_loop, fig2_machine):
-        from repro.core import schedule_with_spilling
+        from repro.core.driver import schedule_with_spilling
 
         result = schedule_with_spilling(fig2_loop, fig2_machine, available=6)
         return result.ddg
@@ -126,7 +126,7 @@ class TestGroupedScheduling:
         schedule.validate()  # validate() checks exact fused offsets
 
     def test_recurrence_with_groups(self, fig2_machine):
-        from repro.core import schedule_with_spilling
+        from repro.core.driver import schedule_with_spilling
 
         ddg = ddg_from_source("s = s + x[i]*y[i] + z[i]*w[i]")
         result = schedule_with_spilling(ddg, fig2_machine, available=3)

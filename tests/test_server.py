@@ -109,7 +109,7 @@ class TestCompileService:
             service.submit({"loop": FIG2, "strategy": "bogus"})
         # rejected requests never reach the queue or the counters
         assert service.healthz()["queued"] == 0
-        assert service.requests_total == 0
+        assert service.stats()["service"]["requests"] == 0
 
     def test_submit_after_close_raises(self):
         svc = CompileService()
@@ -134,14 +134,14 @@ class TestCoalescing:
         before = sched_cache.STATS.snapshot()
         futures = [svc.submit(dict(request)) for _ in range(6)]
         assert len({id(f) for f in futures}) == 1
-        assert svc.requests_total == 6
-        assert svc.coalesced_total == 5
+        assert svc.stats()["service"]["requests"] == 6
+        assert svc.stats()["service"]["coalesced"] == 5
         svc.start()
         result = futures[0].result(timeout=120)
         svc.close()
         assert result.converged is not None
         coalesced_delta = sched_cache.STATS.delta(before)
-        assert svc.compiled_total == 1
+        assert svc.stats()["service"]["compiled"] == 1
 
         # ground truth: the same loop compiled once from cold memos
         # performs the same number of schedule computations — six
@@ -159,7 +159,7 @@ class TestCoalescing:
         results = service.compile_many([dict(request)] * 4)
         texts = {r.to_json_text() for r in results}
         assert len(texts) == 1
-        assert service.coalesced_total >= 3
+        assert service.stats()["service"]["coalesced"] >= 3
 
     def test_distinct_requests_do_not_coalesce(self, service):
         service.compile_many([
@@ -167,7 +167,7 @@ class TestCoalescing:
             {"loop": FIG2, "registers": 8},      # different budget
             {"loop": FIG2, "name": "other", "registers": 16},  # name
         ])
-        assert service.coalesced_total == 0
+        assert service.stats()["service"]["coalesced"] == 0
 
     def test_repeat_request_set_zero_new_schedule_computations(
         self, service

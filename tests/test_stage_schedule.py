@@ -71,7 +71,7 @@ class TestEffectiveness:
         assert second.registers_saved == 0
 
     def test_composes_with_spilling(self, fig2_loop, fig2_machine):
-        from repro.core import schedule_with_spilling
+        from repro.core.driver import schedule_with_spilling
 
         spilled = schedule_with_spilling(fig2_loop, fig2_machine, available=6)
         result = reduce_stages(spilled.schedule)

@@ -37,7 +37,9 @@ from repro import trace
 from repro.api import Pipeline, compile_loop
 from repro.client import TCPClient
 from repro.cluster import ClusterClient
+from repro.eval.engine import run_cells, workload_cells
 from repro.faults import plan as faults
+from repro.machine.specs import resolve_machine
 from repro.metrics import (
     MetricsDB,
     MetricsRecorder,
@@ -49,6 +51,7 @@ from repro.server import CompileService, LineTCPServer, handle_line
 from repro.server.daemon import CompileHTTPServer
 from repro.trace import report as trace_report
 from repro.trace.context import SPAN_BUFFER_CAP
+from repro.workloads.suite import perfect_club_like_suite
 
 FIG2 = "x[i] = y[i]*a + y[i-3]"
 
@@ -108,6 +111,41 @@ class TestTraceContext:
         spans = trace.drain_spans()
         assert len(spans) == SPAN_BUFFER_CAP
         assert spans[0]["name"] == "s5"  # the oldest five went
+
+    def test_full_buffer_goes_to_flush_target(self):
+        flushed = []
+        trace.set_flush_target(flushed.extend)
+        context = trace.new_trace()
+        for index in range(SPAN_BUFFER_CAP + 5):
+            trace.record_span(f"s{index}", "client", 0.0, context=context.child())
+        assert trace.dropped_count() == 0
+        assert len(flushed) == SPAN_BUFFER_CAP
+        names = [span["name"] for span in flushed + trace.drain_spans()]
+        assert names == [f"s{index}" for index in range(SPAN_BUFFER_CAP + 5)]
+
+    def test_failing_flush_target_counts_its_spans_dropped(self):
+        def broken(spans):
+            raise OSError("disk full")
+
+        trace.set_flush_target(broken)
+        trace.add_spans([{"name": "s"}] * SPAN_BUFFER_CAP)
+        assert trace.dropped_count() == SPAN_BUFFER_CAP
+        assert trace.drain_spans() == []
+
+    def test_worker_spans_return_with_their_chunks(self, monkeypatch):
+        from repro import pool
+
+        monkeypatch.setenv(trace.ENV_VAR, "1")
+        cells = workload_cells(
+            "ideal", perfect_club_like_suite(size=6), resolve_machine("P2L4")
+        )
+        pool.shutdown_pool()
+        try:
+            run_cells(cells, jobs=2)
+        finally:
+            pool.shutdown_pool()
+        spans = trace.drain_spans()
+        assert sum(span["name"] == "cell" for span in spans) == len(cells)
 
     def test_enabled_by_env_or_context(self, monkeypatch):
         assert not trace.enabled()
@@ -734,7 +772,8 @@ class TestTraceCLI:
         assert main(base + ["--json-out", str(untraced)]) == 0
         assert main(base + ["--json-out", str(traced),
                             "--trace", str(trace_db)]) == 0
-        capsys.readouterr()
+        out = capsys.readouterr().out
+        assert f"written to {trace_db}, 0 dropped]" in out
         assert traced.read_bytes() == untraced.read_bytes()
         with MetricsDB(str(trace_db)) as db:
             layers = db.span_layers()
