@@ -4,7 +4,8 @@ Schedule → allocate → if the loop does not fit, select lifetime(s), insert
 spill code, and reschedule — the added loads/stores change the dependence
 graph, so a fresh schedule is required each round.  Convergence is
 guaranteed by the non-spillable marking and the complex-operation fusion
-performed in :mod:`repro.core.spill`.
+performed in :mod:`repro.core.spill`; a reload whose complex operation
+would not fit the machine is left unfused.
 
 Accelerations (Section 4.5), both on by default:
 
@@ -21,7 +22,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.core.select import SelectionPolicy, select_lifetimes
-from repro.core.spill import apply_spill
+from repro.core.spill import apply_spill, fit_complex_operations
 from repro.graph.ddg import DDG
 from repro.lifetimes.requirements import RegisterReport, register_requirements
 from repro.machine.machine import MachineConfig
@@ -237,6 +238,7 @@ def _run_spilling(
                 mark_non_spillable=mark_non_spillable,
             )
             spilled.append(candidate.lifetime.value)
+        fit_complex_operations(work, machine)
         if last_ii:
             # Section 4.5: restart at max(MII, previous II).  The MII is
             # that of the *mutated* graph — the spill code's memory edges

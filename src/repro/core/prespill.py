@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.spill import apply_spill
+from repro.core.spill import apply_spill, fit_complex_operations
 from repro.graph.analysis import longest_path_lengths
 from repro.ir.operations import Opcode
 from repro.graph.ddg import DDG
@@ -168,6 +168,7 @@ def schedule_with_prescheduling_spill(
             break
         if not progressed:
             break
+    fit_complex_operations(work, machine)
 
     try:
         schedule = scheduler.schedule(work, machine)

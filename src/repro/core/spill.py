@@ -33,6 +33,11 @@ Optimizations (Section 4.2):
   writes the value to memory — reuse it as the spill store;
 * loop-invariants: the store happens before the loop; only loads are added.
 
+A complex operation must also fit the machine: reloads fused to one
+consumer all sit at offset 0 from each other, and a machine with fewer
+memory units than such reloads can place the group at no II.
+:func:`fit_complex_operations` unfuses reloads until every group fits.
+
 Spill homes are iteration-private locations (one slot per iteration, as a
 rotating buffer), so spill stores of successive iterations never conflict
 and need no output dependences.
@@ -40,12 +45,14 @@ and need no output dependences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.graph.ddg import DDG, DepKind, Edge, EdgeKind, Node
 from repro.ir.loop import ArrayRef
 from repro.ir.operations import Opcode
 from repro.lifetimes.lifetime import Lifetime
+from repro.machine.machine import MachineConfig
+from repro.sched.groups import unplaceable_unit
 from repro.trace.profile import phase
 
 
@@ -75,6 +82,31 @@ def apply_spill(
         if lifetime.is_invariant:
             return _spill_invariant(ddg, lifetime, fuse, mark_non_spillable)
         return _spill_variant(ddg, lifetime, fuse, mark_non_spillable)
+
+
+def fit_complex_operations(ddg: DDG, machine: MachineConfig) -> None:
+    """Unfuse reloads until every complex operation of *ddg* fits
+    *machine* (:func:`repro.sched.groups.unit_fits`).
+
+    While some group fails the fit test, clear ``fused`` on its last
+    spill-load→consumer edge in sorted ``(src, dst)`` order.  The edge
+    stays non-spillable, like the shared reloads of :func:`_reload_plan`:
+    the reload falls back to ungrouped spill code.
+    """
+    while (unit := unplaceable_unit(ddg, machine)) is not None:
+        reloads = sorted(
+            (
+                edge
+                for member in unit.members
+                for edge in ddg.iter_in_edges(member)
+                if edge.fused
+                and ddg.nodes[edge.src].opcode is Opcode.SPILL_LOAD
+            ),
+            key=lambda edge: (edge.src, edge.dst),
+        )
+        if not reloads:
+            return  # nothing to unfuse; the scheduler rejects the group
+        ddg.replace_edge(reloads[-1], replace(reloads[-1], fused=False))
 
 
 # ----------------------------------------------------------------------

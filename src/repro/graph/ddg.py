@@ -165,6 +165,14 @@ class DDG:
         self._in[edge.dst].remove(edge)
         self.revision += 1
 
+    def replace_edge(self, old: Edge, new: Edge) -> None:
+        """Swap *old* for *new*, which has the same endpoints, keeping
+        its place in both adjacency lists."""
+        out, into = self._out[old.src], self._in[old.dst]
+        out[out.index(old)] = new
+        into[into.index(old)] = new
+        self.revision += 1
+
     def remove_node(self, name: str) -> None:
         """Remove a node and every incident edge."""
         for edge in list(self._out[name]):

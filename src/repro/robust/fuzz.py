@@ -11,6 +11,12 @@ statement dropping, then innermost-subexpression collapsing — until no
 smaller loop reproduces it, and written as a ``repro.fuzz-repro/1``
 document to the reproducer corpus, from which
 :func:`replay_reproducer` re-runs it exactly.
+
+A compile that fails is a finding when the II search rejects a complex
+operation that fits at no II: the spill drivers must only build groups
+that fit.  A search that walked its whole window without an II is not a
+finding (the heuristic schedulers are allowed to miss); such results
+are listed, without gating, under ``search_failures``.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from dataclasses import dataclass, field
 
 from repro.api import compile_loop
 from repro.graph.builder import ddg_from_source
+from repro.sched.base import FITS_AT_NO_II, NO_SCHEDULE
 from repro.verify import verify_result
 from repro.workloads.synthetic import (
     RandomDDGParams,
@@ -57,12 +64,15 @@ class FuzzConfig:
 
 @dataclass
 class FuzzReport:
-    """Campaign outcome: counts plus one record per surviving failure."""
+    """Campaign outcome: counts plus one record per surviving failure,
+    and one per compile whose II search walked its window and failed
+    (``search_failures``; recorded, never gating)."""
 
     config: FuzzConfig
     iterations: int = 0
     compiles: int = 0
     failures: list[dict] = field(default_factory=list)
+    search_failures: list[dict] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -79,6 +89,7 @@ class FuzzReport:
             "strategies": list(self.config.strategies),
             "registers": list(self.config.registers),
             "failures": [dict(f) for f in self.failures],
+            "search_failures": [dict(f) for f in self.search_failures],
         }
 
     def to_json_text(self) -> str:
@@ -88,7 +99,8 @@ class FuzzReport:
         lines = [
             f"fuzz: {self.iterations} iterations"
             f" ({self.compiles} compiles), seed {self.config.seed}:"
-            f" {len(self.failures)} failure(s)"
+            f" {len(self.failures)} failure(s),"
+            f" {len(self.search_failures)} search failure(s)"
         ]
         for failure in self.failures:
             lines.append(
@@ -111,18 +123,23 @@ def _operation_count(source: str) -> int:
 
 
 def _check_one(source, name, machine, scheduler, strategy, registers):
-    """Compile one combination and return the list of failure strings
-    (empty = clean).  Compiler crashes count as failures too — the
-    fuzzer's job is to surface them, not to die on them."""
+    """Compile one combination; returns ``(failure strings, reason)``:
+    the failure list is empty when clean, and ``reason`` is the failed
+    compile's reason when its II search walked the whole window (else
+    ``None``).  Compiler crashes count as failures too — the fuzzer's
+    job is to surface them, not to die on them."""
     try:
         result = compile_loop(
             source, machine=machine, scheduler=scheduler,
             strategy=strategy, registers=registers, name=name,
         )
     except Exception as error:  # noqa: BLE001 - any crash is a finding
-        return [f"compiler raised {type(error).__name__}: {error}"]
+        return [f"compiler raised {type(error).__name__}: {error}"], None
     oracle = verify_result(result)
     problems = [str(v) for v in oracle.violations]
+    if not result.converged and FITS_AT_NO_II in result.reason:
+        # the spill drivers must only build complex operations that fit
+        problems.append(f"[groups] {result.reason}")
     if (
         result.converged
         and result.ii is not None
@@ -135,39 +152,49 @@ def _check_one(source, name, machine, scheduler, strategy, registers):
             f"[differential] II {result.ii} below MII {result.mii}"
             f" without spilling"
         )
-    return problems
+    search_failed = not result.converged and NO_SCHEDULE in result.reason
+    return problems, result.reason if search_failed else None
 
 
 def fuzz_iteration(config: FuzzConfig, index: int):
     """Run one campaign iteration; returns ``(spec, failures,
-    compiles)`` where each failure is a reproducer-shaped dict (before
-    shrinking)."""
+    search_failures, compiles)`` where each failure is a
+    reproducer-shaped dict (before shrinking) and each search failure
+    names its combination and reason."""
     spec = random_loop_spec(config.seed, index, config.params)
     machine = config.machines[index % len(config.machines)]
     registers = config.registers[index % len(config.registers)]
     failures = []
+    search_failures = []
     compiles = 0
     for scheduler in config.schedulers:
         for strategy in config.strategies:
             compiles += 1
-            problems = _check_one(
+            problems, search_reason = _check_one(
                 spec.source, spec.name, machine, scheduler, strategy,
                 registers,
             )
+            combination = {
+                "loop": spec.name,
+                "seed": derive_seed(config.seed, index),
+                "iteration": index,
+                "machine": machine,
+                "scheduler": scheduler,
+                "strategy": strategy,
+                "registers": registers,
+            }
+            if search_reason is not None:
+                search_failures.append(
+                    dict(combination, reason=search_reason)
+                )
             if problems:
-                failures.append({
-                    "schema": REPRO_SCHEMA,
-                    "loop": spec.name,
-                    "seed": derive_seed(config.seed, index),
-                    "iteration": index,
-                    "source": spec.source,
-                    "machine": machine,
-                    "scheduler": scheduler,
-                    "strategy": strategy,
-                    "registers": registers,
-                    "violations": problems,
-                })
-    return spec, failures, compiles
+                failures.append(dict(
+                    combination,
+                    schema=REPRO_SCHEMA,
+                    source=spec.source,
+                    violations=problems,
+                ))
+    return spec, failures, search_failures, compiles
 
 
 def run_fuzz(
@@ -180,9 +207,12 @@ def run_fuzz(
     config = config or FuzzConfig()
     report = FuzzReport(config=config)
     for index in range(config.iterations):
-        _spec, failures, compiles = fuzz_iteration(config, index)
+        _spec, failures, search_failures, compiles = fuzz_iteration(
+            config, index
+        )
         report.iterations += 1
         report.compiles += compiles
+        report.search_failures.extend(search_failures)
         for failure in failures:
             if log is not None:
                 log(
@@ -216,7 +246,7 @@ def shrink_failure(failure: dict) -> dict:
     def still_fails(source: str) -> bool:
         return bool(
             _check_one(source, failure["loop"], *combo[:3],
-                       registers=combo[3])
+                       registers=combo[3])[0]
         )
 
     shrunk = shrink_source(failure["source"], still_fails)
@@ -311,11 +341,12 @@ def replay_reproducer(path: "str | pathlib.Path"):
             f"expected schema {REPRO_SCHEMA!r},"
             f" got {document.get('schema')!r}"
         )
-    return _check_one(
+    problems, _search_reason = _check_one(
         document["source"], document["loop"], document["machine"],
         document["scheduler"], document["strategy"],
         document["registers"],
     )
+    return problems
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,8 @@ until one works (paper Figure 1).  Concrete schedulers implement a single
 attempt at a fixed II; this base class owns the search, the effort
 accounting that Figure 8c reports (scheduling time is dominated by failed
 attempts), and the ``min_ii`` hook the *last-II-tried* acceleration of
-Section 4.5 uses to skip doomed IIs.
+Section 4.5 uses to skip doomed IIs.  Before any II is tried, a graph
+holding a complex operation that fits at no II is rejected outright.
 """
 
 from __future__ import annotations
@@ -16,11 +17,19 @@ from dataclasses import dataclass
 from repro.graph.ddg import DDG
 from repro.machine.machine import MachineConfig
 from repro.sched.cache import cached_mii
+from repro.sched.groups import unplaceable_unit
 from repro.sched.schedule import Schedule
+
+#: Reason fragments of the two ways :meth:`ModuloScheduler.schedule`
+#: fails: a fused group no II can place, or a search that walked the
+#: whole window without finding an II that works.
+FITS_AT_NO_II = "fits at no II"
+NO_SCHEDULE = "no schedule for"
 
 
 class ScheduleError(RuntimeError):
-    """No valid schedule was found within the II search window."""
+    """No valid schedule exists or was found within the II search
+    window."""
 
 
 @dataclass
@@ -85,7 +94,16 @@ class ModuloScheduler(abc.ABC):
         ``min_ii`` implements the last-II-tried acceleration: the paper
         observes the II almost never decreases between spill iterations,
         so restarting at the previous II skips futile attempts.
+
+        A fused group that fails :func:`~repro.sched.groups.unit_fits`
+        fits at no II, so the search raises before its first attempt.
         """
+        unit = unplaceable_unit(ddg, machine)
+        if unit is not None:
+            raise ScheduleError(
+                f"{self.name}: complex operation {unit} of {ddg.name}"
+                f" {FITS_AT_NO_II} on {machine.name}"
+            )
         mii = cached_mii(ddg, machine)
         start = max(mii, min_ii or 1)
         if max_ii is None:
@@ -105,7 +123,7 @@ class ModuloScheduler(abc.ABC):
                     effort_attempts=effort.attempts,
                 )
         raise ScheduleError(
-            f"{self.name}: no schedule for {ddg.name} with II in"
+            f"{self.name}: {NO_SCHEDULE} {ddg.name} with II in"
             f" [{start}, {max_ii}]"
         )
 
@@ -114,11 +132,11 @@ def _search_window(ddg: DDG, machine: MachineConfig) -> int:
     """How far past the start II the search goes before giving up: the
     length of a fully sequential iteration plus slack.
 
-    This is a search bound, not a feasibility guarantee.  For plain
-    operations a sequential iteration fits within it, but spill code
-    grouped into complex operations can fit at no II at all (e.g. two
-    spill loads at the same offset on a machine with one memory unit),
-    so a search may walk the whole window and fail."""
+    By the time the search runs, every complex operation has passed the
+    II-independent fit test (:func:`~repro.sched.groups.unit_fits`), so
+    no group in the graph is unplaceable at every II.  The window is
+    still a search bound, not a guarantee that a schedule is found: a
+    non-backtracking scheduler can miss every II in it."""
     total_occupancy = sum(
         machine.occupancy(node.opcode) for node in ddg.nodes.values()
     )

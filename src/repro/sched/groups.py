@@ -10,6 +10,10 @@ A :class:`Unit` is the schedulers' planning granule: either a single node,
 or a fused group with fixed member offsets.  Offsets derive from the fused
 edges: the destination starts exactly ``latency(src)`` cycles after the
 source.
+
+A group must also fit the machine: members at equal offsets compete for
+the same functional units, and no II can separate them.
+:func:`unit_fits` is that II-independent resource test.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from dataclasses import dataclass, field
 
 from repro.graph.analysis import edge_latency
 from repro.graph.ddg import DDG
+from repro.machine.machine import MachineConfig
 from repro.machine.mrt import ModuloReservationTable
 
 
@@ -36,6 +41,9 @@ class Unit:
     def __iter__(self):
         return iter(self.members.items())
 
+    def __str__(self) -> str:
+        return "{%s}" % ", ".join(f"{m}@{offset}" for m, offset in self)
+
 
 def build_units(ddg: DDG, latencies: dict[str, int]) -> dict[str, Unit]:
     """Partition the graph into units; returns node name → its unit.
@@ -46,9 +54,11 @@ def build_units(ddg: DDG, latencies: dict[str, int]) -> dict[str, Unit]:
     units: dict[str, Unit] = {}
     for group in ddg.fused_groups():
         offsets = _group_offsets(ddg, group, latencies)
-        leader = min(offsets, key=lambda n: (offsets[n], n))
-        base = offsets[leader]
-        unit = Unit(leader, {n: off - base for n, off in offsets.items()})
+        # members in (offset, name) order: placement probes them in this
+        # order, so it must not depend on set iteration (string hashing)
+        order = sorted(offsets, key=lambda n: (offsets[n], n))
+        base = offsets[order[0]]
+        unit = Unit(order[0], {n: offsets[n] - base for n in order})
         for member in group:
             units[member] = unit
     for name in ddg.nodes:
@@ -114,6 +124,37 @@ def unit_internally_schedulable(
             if slack < 0:
                 return False
     return True
+
+
+def unit_fits(unit: Unit, ddg: DDG, machine: MachineConfig) -> bool:
+    """Whether *unit*'s members fit the machine's functional units at
+    some II.
+
+    The unit is placed at leader time 0 in an empty MRT whose II is the
+    unit's span (largest offset + occupancy), so no member wraps.  Any
+    larger II places it the same way; at any smaller II the offsets only
+    alias onto each other and add demand per slot.  So a unit that fails
+    here fits at no II, and one that passes fits on its own at every II
+    of at least its span.
+    """
+    span = max(
+        offset + machine.occupancy(ddg.nodes[member].opcode)
+        for member, offset in unit
+    )
+    return try_place_unit(ModuloReservationTable(machine, span), ddg, unit, 0)
+
+
+def unplaceable_unit(ddg: DDG, machine: MachineConfig) -> Unit | None:
+    """The first fused group, by leader, that fails :func:`unit_fits`."""
+    try:
+        units = build_units(ddg, machine.latencies_for(ddg))
+    except ValueError:
+        return None  # inconsistent offsets: every attempt rejects them
+    groups = {unit.leader: unit for unit in units.values() if unit.is_group}
+    for leader in sorted(groups):
+        if not unit_fits(groups[leader], ddg, machine):
+            return groups[leader]
+    return None
 
 
 def earliest_start(

@@ -101,7 +101,7 @@ class IMSScheduler(ModuloScheduler):
             last_forced[leader] = slot
 
             violated = self._violated_successors(ddg, latencies, ii, unit, times)
-            for other in violated:
+            for other in sorted(violated):
                 other_unit = distinct[units[other].leader]
                 remove_unit(mrt, other_unit)
                 for member, _ in other_unit:
@@ -155,7 +155,7 @@ class IMSScheduler(ModuloScheduler):
             blockers -= set(unit.members)
             if not blockers:
                 return None
-            for name in blockers:
+            for name in sorted(blockers):
                 victim = distinct[units[name].leader]
                 if victim.leader in evicted:
                     continue

@@ -28,11 +28,20 @@ from repro.robust import (
     shrink_source,
 )
 from repro.robust.fuzz import (
+    FuzzReport,
+    _check_one,
+    fuzz_iteration,
     shrink_failure,
     shrinker_self_check,
     write_reproducer,
 )
-from repro.workloads.synthetic import derive_seed, random_loop_spec
+from repro.sched import cache as sched_cache
+from repro.sched.base import FITS_AT_NO_II, NO_SCHEDULE
+from repro.workloads.synthetic import (
+    RandomDDGParams,
+    derive_seed,
+    random_loop_spec,
+)
 
 FIG2 = "x[i] = y[i]*a + y[i-3]"
 
@@ -168,6 +177,47 @@ class TestFuzz:
         # clean on replay — the mechanics, not the bug, are under test
         assert replay_reproducer(path) == []
 
+    def test_window_exhausted_search_is_listed_not_gating(self):
+        # iteration 44 of seed 12345: HRMS walks the whole window on the
+        # unspilled graph (a heuristic miss, not an invalid result)
+        config = FuzzConfig(
+            seed=12345, machines=("P1L4",), schedulers=("hrms",),
+            strategies=("none",), registers=(4,),
+            params=RandomDDGParams(ops=20, recurrence_density=0.4),
+        )
+        _spec, failures, search_failures, compiles = fuzz_iteration(
+            config, 44
+        )
+        assert failures == []
+        assert compiles == 1
+        [search] = search_failures
+        assert search["loop"] == "fuzz000044"
+        assert (search["scheduler"], search["strategy"]) == ("hrms", "none")
+        assert NO_SCHEDULE in search["reason"]
+        report = FuzzReport(config=config, search_failures=search_failures)
+        assert report.ok
+        assert report.to_json()["search_failures"] == search_failures
+        assert "0 failure(s), 1 search failure(s)" in report.render()
+
+    def test_unplaceable_group_is_a_finding(self, monkeypatch):
+        # without the unfusing step the spill driver builds a group with
+        # two spill loads at one offset, which P1L4 places at no II
+        monkeypatch.setattr(
+            "repro.core.driver.fit_complex_operations",
+            lambda ddg, machine: None,
+        )
+        spec = random_loop_spec(
+            12345, 116, RandomDDGParams(ops=20, recurrence_density=0.4)
+        )
+        with sched_cache.disabled():
+            problems, _search_reason = _check_one(
+                spec.source, spec.name, "P1L4", "hrms", "spill", 4
+            )
+        assert any(
+            p.startswith("[groups]") and FITS_AT_NO_II in p
+            for p in problems
+        ), problems
+
     def test_replay_rejects_foreign_documents(self, tmp_path):
         path = tmp_path / "not_a_repro.json"
         path.write_text(json.dumps({"schema": "something/else"}))
@@ -234,6 +284,7 @@ class TestCLI:
         document = json.loads(out_path.read_text())
         assert document["schema"] == "repro.fuzz/1"
         assert document["failures"] == []
+        assert document["search_failures"] == []
 
     def test_robust_command(self, tmp_path, capsys):
         out_path = tmp_path / "robust.json"

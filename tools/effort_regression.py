@@ -29,17 +29,23 @@ EXPECTATIONS = (
     / "benchmarks" / "expected_effort.json"
 )
 
-#: The pinned grid: every (loop, scheduler, strategy) cell below is
-#: compiled cold.  Small enough to run in seconds, wide enough to cover
-#: all three schedulers and both spill-shaped strategies.
+#: The pinned grid: every (loop, scheduler, strategy, budget, machine)
+#: cell below is compiled cold.  Small enough to run in seconds, wide
+#: enough to cover all three schedulers and both spill-shaped
+#: strategies.  The P1L4 cells pin the work of spill groups on one
+#: memory unit at a tight budget, where the driver unfuses the reloads
+#: a complex operation cannot hold.
 SUITE_SIZE = 10
 SUITE_SEED = 424242
 MACHINE = "P2L4"
 CELLS = (
-    ("hrms", "spill", 32),
-    ("hrms", "increase", 32),
-    ("ims", "spill", 32),
-    ("swing", "none", None),
+    ("hrms", "spill", 32, MACHINE),
+    ("hrms", "increase", 32, MACHINE),
+    ("ims", "spill", 32, MACHINE),
+    ("swing", "none", None, MACHINE),
+    ("hrms", "spill", 4, "P1L4"),
+    ("ims", "spill", 4, "P1L4"),
+    ("swing", "spill", 4, "P1L4"),
 )
 
 
@@ -51,17 +57,20 @@ def measured() -> dict:
     rows: dict[str, dict] = {}
     suite = random_suite(size=SUITE_SIZE, seed=SUITE_SEED)
     for workload in suite:
-        for scheduler, strategy, registers in CELLS:
+        for scheduler, strategy, registers, machine in CELLS:
             with sched_cache.disabled():
                 result = compile_loop(
                     workload.source,
-                    machine=MACHINE,
+                    machine=machine,
                     scheduler=scheduler,
                     strategy=strategy,
                     registers=registers,
                     name=workload.name,
                 )
-            rows[f"{workload.name}/{scheduler}/{strategy}"] = {
+            cell = f"{scheduler}/{strategy}"
+            if machine != MACHINE:
+                cell = f"{machine}/{cell}"
+            rows[f"{workload.name}/{cell}"] = {
                 "mii": result.mii,
                 "ii": result.ii,
                 "attempts": result.attempts,
