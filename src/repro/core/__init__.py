@@ -18,8 +18,9 @@ one :class:`~repro.api.CompilationResult` shape, pluggable through
 
 ``strategy="prespill"`` is the pre-scheduling spill baseline
 (:mod:`repro.core.prespill`).  The submodules keep the per-method
-implementations and their result dataclasses, which the strategy
-registry wraps.
+drivers; each returns the registry's
+:class:`~repro.core.registry.StrategyOutcome` directly, so the strategy
+registry only checks options and calls them.
 """
 
 from repro.core.select import (
@@ -29,19 +30,11 @@ from repro.core.select import (
     spill_candidates,
 )
 from repro.core.spill import SpillHome, apply_spill
-from repro.core.increase_ii import IncreaseIIResult
-from repro.core.driver import SpillResult
-from repro.core.combined import CombinedResult
-from repro.core.prespill import PreSpillResult
 
 __all__ = [
-    "CombinedResult",
-    "IncreaseIIResult",
-    "PreSpillResult",
     "SelectionPolicy",
     "SpillCandidate",
     "SpillHome",
-    "SpillResult",
     "apply_spill",
     "select_lifetimes",
     "spill_candidates",

@@ -15,9 +15,10 @@ getting the best of both at almost no compile-time cost:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
 
-from repro.core.driver import SpillResult, schedule_with_spilling
+from repro.core.driver import schedule_with_spilling
+from repro.core.registry import StrategyOutcome
 from repro.core.select import SelectionPolicy
 from repro.graph.ddg import DDG
 from repro.lifetimes.requirements import RegisterReport, register_requirements
@@ -28,31 +29,6 @@ from repro.sched.hrms import HRMSScheduler
 from repro.sched.schedule import Schedule
 
 
-@dataclass
-class CombinedResult:
-    """Outcome of the combined method.
-
-    ``method`` is ``"spill"`` or ``"increase_ii"`` depending on which loop
-    was kept; ``spill_result`` retains the spilling run for inspection.
-    """
-
-    converged: bool
-    method: str
-    schedule: Schedule | None
-    report: RegisterReport | None
-    ddg: DDG | None
-    spill_result: SpillResult
-    effort: Effort
-
-    @property
-    def final_ii(self) -> int | None:
-        return self.schedule.ii if self.schedule else None
-
-    @property
-    def memory_ops(self) -> int:
-        return self.ddg.memory_node_count() if self.ddg else 0
-
-
 def schedule_best_of_both(
     ddg: DDG,
     machine: MachineConfig,
@@ -60,39 +36,31 @@ def schedule_best_of_both(
     scheduler: ModuloScheduler | None = None,
     policy: SelectionPolicy = SelectionPolicy.MAX_LT_TRAF,
     exact: bool = True,
-) -> CombinedResult:
+) -> StrategyOutcome:
     """Spill-first, then try to do better without spilling (see module
-    docstring)."""
+    docstring).
+
+    The outcome is the spilling run's (its ``trace`` and ``reason``
+    included) with the kept loop swapped in; ``details["method"]`` is
+    ``"spill"`` or ``"increase_ii"`` depending on which loop was kept."""
     scheduler = scheduler or HRMSScheduler()
     spill = schedule_with_spilling(
         ddg, machine, available, scheduler=scheduler, policy=policy, exact=exact
     )
     effort = Effort()
     effort.add(spill.effort)
+
+    def keep_spill() -> StrategyOutcome:
+        return replace(spill, effort=effort, details=_details("spill", spill))
+
     if not spill.converged or spill.schedule is None:
-        return CombinedResult(
-            converged=spill.converged,
-            method="spill",
-            schedule=spill.schedule,
-            report=spill.report,
-            ddg=spill.ddg,
-            spill_result=spill,
-            effort=effort,
-        )
+        return keep_spill()
 
     ii_spill = spill.schedule.ii
     probe = _plain_attempt(ddg, machine, available, scheduler, ii_spill, effort, exact)
     if probe is None:
         # Even at the spill II the plain loop does not fit: keep the spill.
-        return CombinedResult(
-            converged=True,
-            method="spill",
-            schedule=spill.schedule,
-            report=spill.report,
-            ddg=spill.ddg,
-            spill_result=spill,
-            effort=effort,
-        )
+        return keep_spill()
 
     # Binary search the smallest fitting plain II in [MII, ii_spill].  The
     # paper proposes this search even though fit-vs-II is not strictly
@@ -116,27 +84,27 @@ def schedule_best_of_both(
         plain_schedule.ii == ii_spill
         and plain_schedule.stage_count <= spill.schedule.stage_count
     )
-    if plain_wins:
-        # the plain schedule may be a shared memo entry: hand out a copy
-        plain_schedule = owned_schedule(plain_schedule)
-        return CombinedResult(
-            converged=True,
-            method="increase_ii",
-            schedule=plain_schedule,
-            report=plain_report,
-            ddg=plain_schedule.ddg,
-            spill_result=spill,
-            effort=effort,
-        )
-    return CombinedResult(
-        converged=True,
-        method="spill",
-        schedule=spill.schedule,
-        report=spill.report,
-        ddg=spill.ddg,
-        spill_result=spill,
+    if not plain_wins:
+        return keep_spill()
+    # the plain schedule may be a shared memo entry: hand out a copy
+    plain_schedule = owned_schedule(plain_schedule)
+    return replace(
+        spill,
+        schedule=plain_schedule,
+        report=plain_report,
+        ddg=plain_schedule.ddg,
+        spilled=(),
         effort=effort,
+        details=_details("increase_ii", spill),
     )
+
+
+def _details(method: str, spill: StrategyOutcome) -> dict:
+    return {
+        "method": method,
+        "spill_ii": spill.schedule.ii if spill.schedule is not None else None,
+        "spill_count": len(spill.spilled),
+    }
 
 
 def _plain_attempt(

@@ -21,41 +21,18 @@ small register files on exactly the loops the paper cares about.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from repro.core.registry import StrategyOutcome
 from repro.core.spill import apply_spill, fit_complex_operations
 from repro.graph.analysis import longest_path_lengths
 from repro.ir.operations import Opcode
 from repro.graph.ddg import DDG
 from repro.lifetimes.lifetime import Lifetime
-from repro.lifetimes.requirements import RegisterReport, register_requirements
+from repro.lifetimes.requirements import register_requirements
 from repro.machine.machine import MachineConfig
-from repro.sched.base import ModuloScheduler, ScheduleError
+from repro.sched.base import Effort, ModuloScheduler, ScheduleError
 from repro.sched.cache import cached_mii
 from repro.sched.hrms import HRMSScheduler
-from repro.sched.schedule import Schedule
 from repro.telemetry import COUNTERS
-
-
-@dataclass
-class PreSpillResult:
-    """Outcome of the pre-scheduling spill baseline."""
-
-    converged: bool
-    reason: str
-    schedule: Schedule | None
-    report: RegisterReport | None
-    ddg: DDG
-    spilled: list[str] = field(default_factory=list)
-    mii: int = 0
-
-    @property
-    def final_ii(self) -> int | None:
-        return self.schedule.ii if self.schedule else None
-
-    @property
-    def memory_ops(self) -> int:
-        return self.ddg.memory_node_count()
 
 
 def static_lifetimes(ddg: DDG, machine: MachineConfig, ii: int) -> list[Lifetime]:
@@ -136,7 +113,7 @@ def schedule_with_prescheduling_spill(
     available: int,
     scheduler: ModuloScheduler | None = None,
     max_spills: int = 100,
-) -> PreSpillResult:
+) -> StrategyOutcome:
     """Wang-style flow: spill statically while the MII is preserved, then
     schedule once and report whether the loop fits."""
     scheduler = scheduler or HRMSScheduler()
@@ -170,21 +147,22 @@ def schedule_with_prescheduling_spill(
             break
     fit_complex_operations(work, machine)
 
+    details = {"base_mii": base_mii, "mii_preserved": True}
     try:
         schedule = scheduler.schedule(work, machine)
     except ScheduleError as error:
-        return PreSpillResult(
+        return StrategyOutcome(
             converged=False,
             reason=str(error),
             schedule=None,
             report=None,
             ddg=work,
-            spilled=spilled,
-            mii=base_mii,
+            spilled=tuple(spilled),
+            details=details,
         )
     report = register_requirements(schedule)
     fits = report.fits(available)
-    return PreSpillResult(
+    return StrategyOutcome(
         converged=fits,
         reason="fits" if fits else (
             f"needs {report.total} registers after the single pass"
@@ -192,6 +170,10 @@ def schedule_with_prescheduling_spill(
         schedule=schedule,
         report=report,
         ddg=work,
-        spilled=spilled,
-        mii=base_mii,
+        spilled=tuple(spilled),
+        effort=Effort(
+            attempts=schedule.effort_attempts,
+            placements=schedule.effort_placements,
+        ),
+        details=details,
     )

@@ -6,8 +6,11 @@ the pre-scheduling spill baseline [30] and the combined Section-5 method
 — plus the trivial "none" (schedule and report), are all instances of
 one loop: *schedule → measure registers → react*.  This module names
 them, so the CLI, the experiment engine and the :mod:`repro.api` facade
-select a strategy by string instead of hard-coding the four legacy entry
-points and their four result dataclasses.
+select a strategy by string instead of hard-coding the four driver entry
+points.  The drivers themselves (:mod:`repro.core.driver`,
+:mod:`repro.core.increase_ii`, :mod:`repro.core.prespill`,
+:mod:`repro.core.combined`) build and return :class:`StrategyOutcome`,
+so each built-in strategy below only checks its options and calls one.
 
 Each strategy is a callable
 
@@ -166,36 +169,9 @@ def _spill(ddg, machine, scheduler, registers, options) -> StrategyOutcome:
     from repro.core.driver import schedule_with_spilling
 
     _check_options("spill", options)
-    kwargs = {k: options[k] for k in
-              ("multiple", "last_ii", "exact", "max_rounds", "fuse",
-               "mark_non_spillable") if k in options}
-    run = schedule_with_spilling(
+    return schedule_with_spilling(
         ddg, machine, _require_budget("spill", registers),
-        scheduler=scheduler, policy=_policy(options), **kwargs,
-    )
-    return StrategyOutcome(
-        converged=run.converged,
-        reason=run.reason,
-        schedule=run.schedule,
-        report=run.report,
-        ddg=run.ddg,
-        spilled=tuple(run.spilled),
-        trace=tuple(
-            {
-                "ii": r.ii,
-                "mii": r.mii,
-                "registers": r.registers,
-                "max_live": r.max_live,
-                "memory_ops": r.memory_ops,
-                "spilled": list(r.spilled_values),
-            }
-            for r in run.rounds
-        ),
-        effort=run.effort,
-        details={
-            "policy": _policy(options).value,
-            "rounds": run.reschedules,
-        },
+        scheduler=scheduler, **{**options, "policy": _policy(options)},
     )
 
 
@@ -207,21 +183,9 @@ def _increase(ddg, machine, scheduler, registers, options) -> StrategyOutcome:
     from repro.core.increase_ii import schedule_increasing_ii
 
     _check_options("increase", options)
-    run = schedule_increasing_ii(
+    return schedule_increasing_ii(
         ddg, machine, _require_budget("increase", registers),
         scheduler=scheduler, **options,
-    )
-    return StrategyOutcome(
-        converged=run.converged,
-        reason=run.reason,
-        schedule=run.schedule,
-        report=run.report,
-        ddg=run.schedule.ddg if run.schedule is not None else None,
-        trace=tuple(
-            {"ii": ii, "registers": regs} for ii, regs in run.trail
-        ),
-        effort=run.effort,
-        details={"iis_tried": len(run.trail)},
     )
 
 
@@ -232,18 +196,9 @@ def _prespill(ddg, machine, scheduler, registers, options) -> StrategyOutcome:
     from repro.core.prespill import schedule_with_prescheduling_spill
 
     _check_options("prespill", options)
-    run = schedule_with_prescheduling_spill(
+    return schedule_with_prescheduling_spill(
         ddg, machine, _require_budget("prespill", registers),
         scheduler=scheduler, **options,
-    )
-    return StrategyOutcome(
-        converged=run.converged,
-        reason=run.reason,
-        schedule=run.schedule,
-        report=run.report,
-        ddg=run.ddg,
-        spilled=tuple(run.spilled),
-        details={"base_mii": run.mii, "mii_preserved": True},
     )
 
 
@@ -254,38 +209,9 @@ def _combined(ddg, machine, scheduler, registers, options) -> StrategyOutcome:
     from repro.core.combined import schedule_best_of_both
 
     _check_options("combined", options)
-    kwargs = {"policy": _policy(options)}
-    if "exact" in options:
-        kwargs["exact"] = options["exact"]
-    run = schedule_best_of_both(
+    return schedule_best_of_both(
         ddg, machine, _require_budget("combined", registers),
-        scheduler=scheduler, **kwargs,
-    )
-    spill = run.spill_result
-    return StrategyOutcome(
-        converged=run.converged,
-        reason="fits" if run.converged else spill.reason,
-        schedule=run.schedule,
-        report=run.report,
-        ddg=run.ddg,
-        spilled=tuple(spill.spilled) if run.method == "spill" else (),
-        trace=tuple(
-            {
-                "ii": r.ii,
-                "mii": r.mii,
-                "registers": r.registers,
-                "max_live": r.max_live,
-                "memory_ops": r.memory_ops,
-                "spilled": list(r.spilled_values),
-            }
-            for r in spill.rounds
-        ),
-        effort=run.effort,
-        details={
-            "method": run.method,
-            "spill_ii": spill.final_ii,
-            "spill_count": len(spill.spilled),
-        },
+        scheduler=scheduler, **{**options, "policy": _policy(options)},
     )
 
 

@@ -152,26 +152,6 @@ class Cell:
                 return value
         return default
 
-    def spill_options(self) -> dict:
-        """The ``schedule_with_spilling`` keyword arguments carried by
-        this cell's options tuple; unknown keys are an error (silently
-        dropping one would change the run's semantics)."""
-        result = {}
-        for key, value in self.options:
-            if key == "policy":
-                result["policy"] = SelectionPolicy(value)
-            elif key in ("multiple", "last_ii", "fuse",
-                         "mark_non_spillable", "exact"):
-                result[key] = bool(value)
-            elif key == "max_rounds":
-                result["max_rounds"] = int(value)
-            else:
-                raise ValueError(
-                    f"unknown spill option {key!r} on cell"
-                    f" {self.workload}/{self.variant or self.kind}"
-                )
-        return result
-
 
 @dataclass
 class CellResult:
@@ -403,7 +383,7 @@ def _eval_fig8(cell: Cell) -> dict:
     }
     if registers <= cell.budget:
         return data
-    run = _cell_compile(cell, "spill", dict(cell.spill_options()))
+    run = _cell_compile(cell, "spill", dict(cell.options))
     final = run.schedule if run.schedule is not None else schedule
     final_ddg = run.ddg if run.ddg is not None else ddg
     data.update(
@@ -448,7 +428,7 @@ def _eval_fig9(cell: Cell) -> dict:
 
 def _eval_spill(cell: Cell) -> dict:
     """Generic spilling-driver cell (ablation benchmarks)."""
-    run = _cell_compile(cell, "spill", dict(cell.spill_options()))
+    run = _cell_compile(cell, "spill", dict(cell.options))
     valid = run.schedule is not None
     if valid:
         try:

@@ -53,7 +53,7 @@ from repro.telemetry import COUNTERS
 
 #: Bump to invalidate every existing on-disk entry (the version is part
 #: of the hashed key material *and* checked in the entry header).
-STORE_VERSION = 2
+STORE_VERSION = 3
 
 _MAGIC = b"repro-store\x00"
 _EVICT_EVERY = 64

@@ -92,8 +92,8 @@ class TestLegacyEquivalence:
         assert result.converged == legacy.converged
         assert result.ii == legacy.schedule.ii
         assert result.registers_used == legacy.report.total
-        assert list(result.spilled) == legacy.spilled
-        assert len(result.trace) == len(legacy.rounds)
+        assert result.spilled == legacy.spilled
+        assert result.trace == legacy.trace
         assert result.memory_ops == legacy.ddg.memory_node_count()
 
     def test_increase_equivalence(self):
@@ -105,9 +105,7 @@ class TestLegacyEquivalence:
         assert result.converged == legacy.converged
         assert result.ii == legacy.schedule.ii
         assert result.registers_used == legacy.report.total
-        assert [
-            (row["ii"], row["registers"]) for row in result.trace
-        ] == legacy.trail
+        assert result.trace == legacy.trace
 
     def test_prespill_equivalence(self):
         result = compile_loop(
@@ -119,7 +117,7 @@ class TestLegacyEquivalence:
             )
         assert result.converged == legacy.converged
         assert result.ii == legacy.schedule.ii
-        assert result.details["base_mii"] == legacy.mii
+        assert result.details == legacy.details
 
     def test_combined_equivalence(self):
         from repro.core.combined import schedule_best_of_both
@@ -131,7 +129,7 @@ class TestLegacyEquivalence:
             legacy = schedule_best_of_both(_fig2(), _machine(), 6)
         assert result.converged == legacy.converged
         assert result.ii == legacy.schedule.ii
-        assert result.details["method"] == legacy.method
+        assert result.details["method"] == legacy.details["method"]
 
 
 def _fig2():
@@ -436,9 +434,8 @@ class TestSpillRunMemo:
         assert second.converged == first.converged
         assert second.schedule.ii == first.schedule.ii
         assert second.spilled == first.spilled
-        assert [r.__dict__ for r in second.rounds] == [
-            r.__dict__ for r in first.rounds
-        ]
+        assert second.trace == first.trace
+        assert second.details == first.details
         # results are caller-owned: mutating one leaves the other alone
         assert second.schedule is not first.schedule
         assert second.ddg is not first.ddg
@@ -448,6 +445,25 @@ class TestSpillRunMemo:
         assert third.schedule.ii == second.schedule.ii
         third.schedule.validate()
         third.ddg.validate()
+
+    def test_hit_trace_and_details_are_caller_owned(self):
+        sched_cache.clear()
+        machine = _machine()
+        ddg = _fig2()
+        first = schedule_with_spilling(ddg, machine, 6)
+        trace = [dict(row, spilled=list(row["spilled"])) for row in first.trace]
+        hit = schedule_with_spilling(ddg, machine, 6)
+        assert sched_cache.STATS.spill_hits == 1
+        assert hit.trace[0]["spilled"] == ["Ld_y"]
+        hit.trace[0]["spilled"].append("bogus")
+        hit.trace[0]["ii"] = -1
+        hit.details["rounds"] = -1
+        hit.details["extra"] = True
+        again = schedule_with_spilling(ddg, machine, 6)
+        assert sched_cache.STATS.spill_hits == 2
+        assert again.trace[0]["spilled"] == ["Ld_y"]
+        assert list(again.trace) == trace
+        assert again.details == {"policy": "max_lt_traf", "rounds": 2}
 
     def test_different_options_miss(self):
         sched_cache.clear()

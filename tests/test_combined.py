@@ -13,14 +13,15 @@ class TestMethodChoice:
     def test_fitting_loop_uses_plain_schedule(self, fig2_loop, fig2_machine):
         result = schedule_best_of_both(fig2_loop, fig2_machine, available=32)
         assert result.converged
-        assert result.method == "increase_ii"  # no spill was ever needed
-        assert result.spill_result.spilled == []
+        # no spill was ever needed
+        assert result.details["method"] == "increase_ii"
+        assert result.details["spill_count"] == 0
 
     def test_spill_kept_when_plain_never_fits(self):
         # the non-convergent loop: no plain II fits 32 registers
         result = schedule_best_of_both(apsi50_like(), p2l4(), available=32)
         assert result.converged
-        assert result.method == "spill"
+        assert result.details["method"] == "spill"
         assert result.report.fits(32)
 
     def test_result_schedule_validates(self):
@@ -38,7 +39,7 @@ class TestNeverWorse:
             combined = schedule_best_of_both(loop, machine, available)
             assert combined.converged == spill.converged
             if spill.converged:
-                assert combined.final_ii <= spill.final_ii
+                assert combined.schedule.ii <= spill.schedule.ii
 
     def test_combined_at_least_as_good_as_increase_ii(self):
         machine = p2l4()
@@ -47,7 +48,7 @@ class TestNeverWorse:
         combined = schedule_best_of_both(loop, machine, 32)
         assert combined.converged
         if increase.converged:
-            assert combined.final_ii <= increase.final_ii
+            assert combined.schedule.ii <= increase.schedule.ii
 
     def test_combined_register_budget_respected(self):
         machine = p2l4()
@@ -61,16 +62,16 @@ class TestFailurePropagation:
     def test_impossible_budget_reports_failure(self, fig2_loop, fig2_machine):
         result = schedule_best_of_both(fig2_loop, fig2_machine, available=1)
         assert not result.converged
-        assert result.method == "spill"
+        assert result.details["method"] == "spill"
 
 
 class TestTrafficAccounting:
     def test_plain_choice_has_no_spill_traffic(self, fig2_loop, fig2_machine):
         result = schedule_best_of_both(fig2_loop, fig2_machine, available=32)
-        assert result.memory_ops == fig2_loop.memory_node_count()
+        assert result.ddg.memory_node_count() == fig2_loop.memory_node_count()
 
     def test_spill_choice_reports_transformed_graph(self):
         loop = apsi50_like()
         result = schedule_best_of_both(loop, p2l4(), available=32)
-        assert result.method == "spill"
-        assert result.memory_ops > loop.memory_node_count()
+        assert result.details["method"] == "spill"
+        assert result.ddg.memory_node_count() > loop.memory_node_count()

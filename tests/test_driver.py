@@ -15,14 +15,14 @@ class TestBasicOperation:
     def test_fitting_loop_needs_no_spill(self, fig2_loop, fig2_machine):
         result = schedule_with_spilling(fig2_loop, fig2_machine, available=32)
         assert result.converged
-        assert result.spilled == []
-        assert result.reschedules == 1
+        assert result.spilled == ()
+        assert result.details["rounds"] == 1
 
     def test_fig2_spills_v1(self, fig2_loop, fig2_machine):
         result = schedule_with_spilling(fig2_loop, fig2_machine, available=6)
         assert result.converged
-        assert result.spilled == ["Ld_y"]
-        assert result.final_ii == 2  # paper Figure 6
+        assert result.spilled == ("Ld_y",)
+        assert result.schedule.ii == 2  # paper Figure 6
         assert result.report.fits(6)
 
     def test_original_graph_untouched(self, fig2_loop, fig2_machine):
@@ -37,13 +37,13 @@ class TestBasicOperation:
 
     def test_rounds_recorded(self, fig2_loop, fig2_machine):
         result = schedule_with_spilling(fig2_loop, fig2_machine, available=6)
-        assert len(result.rounds) == 2
-        assert result.rounds[0].spilled_values == ("Ld_y",)
-        assert result.rounds[1].spilled_values == ()
+        assert len(result.trace) == 2
+        assert result.trace[0]["spilled"] == ["Ld_y"]
+        assert result.trace[1]["spilled"] == []
 
     def test_memory_ops_grow(self, fig2_loop, fig2_machine):
         result = schedule_with_spilling(fig2_loop, fig2_machine, available=6)
-        assert result.rounds[-1].memory_ops > result.rounds[0].memory_ops
+        assert result.trace[-1]["memory_ops"] > result.trace[0]["memory_ops"]
 
 
 class TestConvergenceOnHardLoops:
@@ -80,7 +80,7 @@ class TestAccelerations:
         batched = schedule_with_spilling(
             loop, machine, 16, multiple=True, last_ii=False
         )
-        assert batched.reschedules <= single.reschedules
+        assert batched.details["rounds"] <= single.details["rounds"]
         assert batched.converged and single.converged
 
     def test_last_ii_never_lowers_final_ii_much(self):
@@ -91,9 +91,9 @@ class TestAccelerations:
         assert pruned.converged
         # pruning skips IIs below the previous round's II, so the final II
         # can only be >= the unpruned one
-        assert pruned.final_ii >= plain.final_ii
+        assert pruned.schedule.ii >= plain.schedule.ii
         # ... at a big saving in scheduling attempts for multi-round runs
-        if plain.reschedules > 1:
+        if plain.details["rounds"] > 1:
             assert pruned.effort.attempts <= plain.effort.attempts
 
     def test_policy_plumbs_through(self, fig2_loop, fig2_machine):
@@ -142,7 +142,7 @@ class TestMIICaching:
             loop, generic_machine(4, 2), available=6
         )
         assert result.converged
-        assert len(result.rounds) >= 2
+        assert len(result.trace) >= 2
         assert fingerprints, "MII must have been computed"
         assert len(fingerprints) == len(set(fingerprints)), (
             "MII recomputed for unchanged graph content"
@@ -185,7 +185,7 @@ class TestLastIIRestart:
 
     def test_spilling_raises_mii_above_previous_ii(self):
         result = self._run()
-        trajectory = [(r.ii, r.mii) for r in result.rounds]
+        trajectory = [(r["ii"], r["mii"]) for r in result.trace]
         assert any(
             later_mii > earlier_ii
             for (earlier_ii, _), (_, later_mii) in zip(
@@ -195,12 +195,12 @@ class TestLastIIRestart:
 
     def test_rounds_never_schedule_below_their_mii(self):
         result = self._run()
-        for entry in result.rounds:
-            assert entry.ii >= entry.mii
+        for entry in result.trace:
+            assert entry["ii"] >= entry["mii"]
 
     def test_restart_is_monotone_in_previous_ii(self):
         result = self._run()
-        iis = [r.ii for r in result.rounds]
+        iis = [r["ii"] for r in result.trace]
         assert iis == sorted(iis)
 
 

@@ -14,6 +14,7 @@ from repro.core.increase_ii import schedule_increasing_ii
 from repro.graph import ddg_from_source
 from repro.lifetimes import register_requirements
 from repro.machine import p2l4
+from repro.sched import compute_mii
 from repro.workloads.synthetic import generate_loop_spec
 
 loop_sources = st.builds(
@@ -37,11 +38,11 @@ def test_spill_driver_contract(source, budget):
         result.schedule.validate()
         assert result.schedule.ddg is result.ddg
         assert register_requirements(result.schedule).fits(budget)
-        assert result.rounds[-1].registers <= budget
+        assert result.trace[-1]["registers"] <= budget
     else:
         assert result.reason
     # spill code only ever adds memory operations
-    assert result.memory_ops >= ddg.memory_node_count()
+    assert result.ddg.memory_node_count() >= ddg.memory_node_count()
     # the input graph is never mutated
     ddg.validate()
 
@@ -55,10 +56,12 @@ def test_increase_ii_contract(source, budget):
     if result.converged:
         result.schedule.validate()
         assert result.report.fits(budget)
-        assert result.final_ii >= result.mii
-        # the trail ends at the converged point
-        assert result.trail[-1] == (result.final_ii, result.report.total)
-    iis = [ii for ii, _ in result.trail]
+        assert result.schedule.ii >= compute_mii(ddg, machine)
+        # the trace ends at the converged point
+        assert result.trace[-1] == {
+            "ii": result.schedule.ii, "registers": result.report.total,
+        }
+    iis = [row["ii"] for row in result.trace]
     assert iis == sorted(iis)
 
 
@@ -71,7 +74,7 @@ def test_combined_never_worse_than_spill(source, budget):
     combined = schedule_best_of_both(ddg, machine, budget)
     assert combined.converged == spill.converged
     if spill.converged:
-        assert combined.final_ii <= spill.final_ii
+        assert combined.schedule.ii <= spill.schedule.ii
         assert combined.report.fits(budget)
 
 
@@ -84,5 +87,5 @@ def test_budget_monotonicity(source):
     tight = schedule_with_spilling(ddg, machine, 16, max_rounds=60)
     loose = schedule_with_spilling(ddg, machine, 64, max_rounds=60)
     if tight.converged and loose.converged:
-        assert loose.final_ii <= tight.final_ii
-        assert loose.memory_ops <= tight.memory_ops
+        assert loose.schedule.ii <= tight.schedule.ii
+        assert loose.ddg.memory_node_count() <= tight.ddg.memory_node_count()

@@ -6,6 +6,7 @@ from repro.core.increase_ii import schedule_increasing_ii
 from repro.core.increase_ii import distance_register_floor
 from repro.graph import ddg_from_source
 from repro.machine import generic_machine, p2l4
+from repro.sched import compute_mii
 from repro.workloads import apsi47_like, apsi50_like
 
 
@@ -15,22 +16,22 @@ class TestConvergence:
     ):
         result = schedule_increasing_ii(fig2_loop, fig2_machine, available=64)
         assert result.converged
-        assert result.final_ii == result.mii == 1
-        assert result.trail == [(1, result.report.total)]
+        assert result.schedule.ii == compute_mii(fig2_loop, fig2_machine) == 1
+        assert result.trace == ({"ii": 1, "registers": result.report.total},)
 
     def test_needy_loop_converges_at_larger_ii(
         self, fig2_loop, fig2_machine
     ):
         result = schedule_increasing_ii(fig2_loop, fig2_machine, available=8)
         assert result.converged
-        assert result.final_ii > result.mii
+        assert result.schedule.ii > compute_mii(fig2_loop, fig2_machine)
         assert result.report.fits(8)
 
     def test_trail_records_every_attempt(self, fig2_loop, fig2_machine):
         result = schedule_increasing_ii(fig2_loop, fig2_machine, available=7)
-        iis = [ii for ii, _ in result.trail]
+        iis = [row["ii"] for row in result.trace]
         assert iis == sorted(iis)
-        assert iis[0] == result.mii
+        assert iis[0] == compute_mii(fig2_loop, fig2_machine)
 
     def test_schedule_is_valid(self, fig2_loop, fig2_machine):
         result = schedule_increasing_ii(fig2_loop, fig2_machine, available=8)
@@ -45,7 +46,7 @@ class TestNonConvergence:
         result = schedule_increasing_ii(loop, p2l4(), available=32)
         assert not result.converged
         assert "floor" in result.reason
-        assert result.trail == []  # certificate fires before scheduling
+        assert result.trace == ()  # certificate fires before scheduling
 
     def test_plateau_detection_without_certificate(self):
         loop = apsi50_like()
@@ -55,7 +56,7 @@ class TestNonConvergence:
         )
         assert not result.converged
         assert "plateau" in result.reason
-        assert len(result.trail) > 6
+        assert len(result.trace) > 6
         # best-effort schedule is reported even on failure
         assert result.schedule is not None
         assert result.report.total > 32
@@ -103,5 +104,5 @@ class TestPaperShape:
             loop, machine, available=16, patience=30
         )
         assert at32.converged and at16.converged
-        assert at16.final_ii > at32.final_ii
-        assert at16.final_ii >= 2 * at32.mii
+        assert at16.schedule.ii > at32.schedule.ii
+        assert at16.schedule.ii >= 2 * compute_mii(loop, machine)

@@ -42,7 +42,7 @@ class TestFullPipeline:
             result = schedule_with_spilling(workload.ddg, machine, 32)
             assert result.converged
             code = emit_loop(result.schedule)
-            assert len(code.kernel) == result.final_ii
+            assert len(code.kernel) == result.schedule.ii
             mnemonics = [m for row in code.kernel for m in row]
             assert len(mnemonics) == len(result.schedule.times)
 
@@ -75,7 +75,9 @@ class TestBudgetMonotonicity:
             generous = schedule_with_spilling(workload.ddg, machine, 64)
             tight = schedule_with_spilling(workload.ddg, machine, 16)
             if generous.converged and tight.converged:
-                assert tight.final_ii >= generous.final_ii, workload.name
+                assert tight.schedule.ii >= generous.schedule.ii, (
+                    workload.name
+                )
 
     def test_increase_ii_vs_spill_on_sample(self, sample):
         """Where both converge, the spill schedule is never worse than the
@@ -91,7 +93,7 @@ class TestBudgetMonotonicity:
             spill = schedule_with_spilling(workload.ddg, machine, 32)
             if not (inc.converged and spill.converged):
                 continue
-            if spill.final_ii <= inc.final_ii:
+            if spill.schedule.ii <= inc.schedule.ii:
                 better += 1
             else:
                 worse += 1

@@ -70,7 +70,7 @@ class TestFigures5And6:
         return result
 
     def test_spills_exactly_v1(self, spilled):
-        assert spilled.spilled == ["Ld_y"]
+        assert spilled.spilled == ("Ld_y",)
 
     def test_fig5c_graph(self, spilled):
         # no spill store (the producer was a load); two spill loads
@@ -86,7 +86,7 @@ class TestFigures5And6:
         assert all(e.kind is EdgeKind.REG for e in fused)
 
     def test_final_ii_two(self, spilled):
-        assert spilled.final_ii == 2  # paper: "the II of the spilled loop
+        assert spilled.schedule.ii == 2  # paper: "the II of the spilled loop
         # is also 2 cycles"
 
     def test_five_registers_for_variants(self, spilled):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import compile_loop
 from repro.core.driver import schedule_with_spilling
 from repro.core.prespill import (
     estimated_pressure,
@@ -41,7 +42,7 @@ class TestMIIPreservation:
         machine = p2l4()
         base_mii = compute_mii(loop, machine)
         result = schedule_with_prescheduling_spill(loop, machine, 16)
-        assert result.mii == base_mii
+        assert result.details["base_mii"] == base_mii
         assert compute_mii(result.ddg, machine) <= base_mii
 
     def test_schedule_valid(self):
@@ -68,10 +69,22 @@ class TestBaselineLimitations:
             fig2_loop, fig2_machine, available=32
         )
         assert result.converged
-        assert result.spilled == []
+        assert result.spilled == ()
 
     def test_keeps_best_effort_graph(self):
         result = schedule_with_prescheduling_spill(apsi50_like(), p2l4(), 8)
         assert result.ddg is not None
         assert result.report is not None
         assert result.reason
+
+
+class TestEffortReporting:
+    def test_compile_reports_the_single_pass_search_effort(self):
+        """The one scheduling pass's search effort reaches the facade
+        (it used to be dropped, reporting 0 attempts and 0 placements)."""
+        result = compile_loop(
+            apsi50_like(), "P2L4", strategy="prespill", registers=32,
+        )
+        assert result.ii == 6
+        assert result.attempts == result.schedule.effort_attempts >= 1
+        assert result.placements == result.schedule.effort_placements > 0

@@ -1,9 +1,8 @@
 """Additional coverage for reporting, metrics assembly and the result
-dataclasses' derived fields."""
+renderers' derived fields."""
 
 import pytest
 
-from repro.core.driver import SpillRound
 from repro.eval.metrics import LoopOutcome
 from repro.eval.reporting import format_table
 from repro.graph import ddg_from_source
@@ -48,16 +47,6 @@ class TestLoopOutcome:
         assert outcome.memory_ops == 2
         assert outcome.ii == schedule.ii
         assert outcome.converged
-
-
-class TestSpillRound:
-    def test_fields_round_trip(self):
-        entry = SpillRound(
-            ii=7, mii=5, registers=20, max_live=18, memory_ops=4,
-            spilled_values=("v1", "v2"),
-        )
-        assert entry.ii > entry.mii
-        assert entry.spilled_values == ("v1", "v2")
 
 
 class TestResultRenderers:

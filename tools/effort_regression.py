@@ -31,10 +31,10 @@ EXPECTATIONS = (
 
 #: The pinned grid: every (loop, scheduler, strategy, budget, machine)
 #: cell below is compiled cold.  Small enough to run in seconds, wide
-#: enough to cover all three schedulers and both spill-shaped
-#: strategies.  The P1L4 cells pin the work of spill groups on one
-#: memory unit at a tight budget, where the driver unfuses the reloads
-#: a complex operation cannot hold.
+#: enough to cover all three schedulers and every built-in strategy.
+#: The P1L4 cells pin the work of spill groups on one memory unit at a
+#: tight budget, where the driver unfuses the reloads a complex
+#: operation cannot hold.
 SUITE_SIZE = 10
 SUITE_SEED = 424242
 MACHINE = "P2L4"
@@ -43,6 +43,8 @@ CELLS = (
     ("hrms", "increase", 32, MACHINE),
     ("ims", "spill", 32, MACHINE),
     ("swing", "none", None, MACHINE),
+    ("hrms", "combined", 32, MACHINE),
+    ("hrms", "prespill", 32, MACHINE),
     ("hrms", "spill", 4, "P1L4"),
     ("ims", "spill", 4, "P1L4"),
     ("swing", "spill", 4, "P1L4"),
