@@ -29,7 +29,6 @@ from repro.machine.machine import MachineConfig
 from repro.sched.base import Effort, ModuloScheduler, ScheduleError
 from repro.sched.cache import (
     cached_mii,
-    caching_enabled,
     ddg_fingerprint,
     machine_key,
     owned_schedule,
@@ -70,32 +69,29 @@ def schedule_with_spilling(
     caller-owned copies, so results stay freely mutable.
     """
     scheduler = scheduler or HRMSScheduler()
-    memo_key = None
-    if caching_enabled():
-        memo_key = (
-            ddg_fingerprint(ddg),
-            machine_key(machine),
-            scheduler_key(scheduler),
-            available,
-            policy.value,
-            multiple,
-            last_ii,
-            exact,
-            max_rounds,
-            fuse,
-            mark_non_spillable,
-        )
-        hit = spill_memo().get(memo_key, _owned_outcome)
-        if hit is not None:
-            return hit
+    memo_key = (
+        ddg_fingerprint(ddg),
+        machine_key(machine),
+        scheduler_key(scheduler),
+        available,
+        policy.value,
+        multiple,
+        last_ii,
+        exact,
+        max_rounds,
+        fuse,
+        mark_non_spillable,
+    )
+    hit = spill_memo().get(memo_key)
+    if hit is not None:
+        return _owned_outcome(hit)
     result = _run_spilling(
         ddg, machine, available, scheduler, policy, multiple, last_ii,
         exact, max_rounds, fuse, mark_non_spillable,
     )
-    if memo_key is not None:
-        # Store a private copy: the returned result is caller-mutable,
-        # memo entries must never be.
-        spill_memo().put(memo_key, _owned_outcome(result))
+    # Store a private copy: the returned result is caller-mutable, memo
+    # entries must never be.
+    spill_memo().put(memo_key, _owned_outcome(result))
     return result
 
 
@@ -143,6 +139,7 @@ def _run_spilling(
                 scheduler, work, machine, min_ii=min_ii
             )
         except ScheduleError as error:
+            effort.add(error.effort)
             return outcome(
                 False, str(error), _owned(last_schedule), last_report, work
             )

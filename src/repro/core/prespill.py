@@ -158,6 +158,7 @@ def schedule_with_prescheduling_spill(
             report=None,
             ddg=work,
             spilled=tuple(spilled),
+            effort=error.effort,
             details=details,
         )
     report = register_requirements(schedule)

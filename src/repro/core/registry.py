@@ -221,7 +221,6 @@ def _none(ddg, machine, scheduler, registers, options) -> StrategyOutcome:
     budget, ``converged`` says whether the loop happens to fit; without
     one (``registers=None``) the schedule always counts as converged."""
     _check_options("none", options)
-    effort = Effort()
     try:
         schedule = schedule_memo().schedule(scheduler, ddg, machine)
     except ScheduleError as error:
@@ -231,10 +230,12 @@ def _none(ddg, machine, scheduler, registers, options) -> StrategyOutcome:
             schedule=None,
             report=None,
             ddg=None,
-            effort=effort,
+            effort=error.effort,
         )
-    effort.attempts += schedule.effort_attempts
-    effort.placements += schedule.effort_placements
+    effort = Effort(
+        attempts=schedule.effort_attempts,
+        placements=schedule.effort_placements,
+    )
     report = register_requirements(
         schedule, exact=options.get("exact", True)
     )

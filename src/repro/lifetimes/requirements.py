@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from repro.lifetimes.allocator import allocate_arrays
 from repro.lifetimes.maxlive import _pattern_from
 from repro.sched.schedule import Schedule
-from repro.telemetry import COUNTERS
 from repro.trace.profile import phase
 
 
@@ -51,26 +50,14 @@ def register_requirements(schedule: Schedule, exact: bool = True) -> RegisterRep
     methodology); ``exact=False`` returns the MaxLive approximation in both
     fields (the paper's examples, and much faster).
 
-    Three memo levels, all guarded by :func:`~repro.sched.cache.
-    caching_enabled` and counted as ``alloc_hits``/``alloc_misses``:
-    the schedule instance (revision-guarded — the experiment engine
-    hands the same memoized schedules to several budgets/artifacts),
-    the process-wide :class:`~repro.sched.cache.AllocMemo` keyed by
-    schedule content, and the persistent store's ``"alloc"`` namespace
-    (shared across engine workers and warm re-runs).
+    Memoized in :data:`~repro.sched.cache.ALLOC`, keyed by schedule
+    content (the schedule fingerprint, which is cached on the schedule)
+    and counted as ``alloc_hits``/``alloc_misses``; the persistent
+    store's ``"alloc"`` namespace shares reports across engine workers
+    and warm re-runs.
     """
     from repro.sched import cache as sched_cache
 
-    if not sched_cache.caching_enabled():
-        return _measure(schedule, exact)
-
-    revision = schedule.ddg.revision
-    memo = getattr(schedule, "_requirements_memo", None)
-    if memo is not None:
-        entry = memo.get(exact)
-        if entry is not None and entry[0] == revision:
-            COUNTERS.alloc_hits += 1
-            return entry[1]
     key = (
         sched_cache.schedule_fingerprint(schedule),
         sched_cache.machine_key(schedule.machine),
@@ -80,10 +67,6 @@ def register_requirements(schedule: Schedule, exact: bool = True) -> RegisterRep
     if report is None:
         report = _measure(schedule, exact)
         sched_cache.alloc_memo().put(key, report)
-    if memo is None:
-        memo = {}
-        schedule._requirements_memo = memo
-    memo[exact] = (revision, report)
     return report
 
 

@@ -29,7 +29,11 @@ NO_SCHEDULE = "no schedule for"
 
 class ScheduleError(RuntimeError):
     """No valid schedule exists or was found within the II search
-    window."""
+    window.  ``effort`` is the work the failed search spent."""
+
+    def __init__(self, message: str, effort: "Effort | None" = None):
+        super().__init__(message)
+        self.effort = effort if effort is not None else Effort()
 
 
 @dataclass
@@ -124,7 +128,8 @@ class ModuloScheduler(abc.ABC):
                 )
         raise ScheduleError(
             f"{self.name}: {NO_SCHEDULE} {ddg.name} with II in"
-            f" [{start}, {max_ii}]"
+            f" [{start}, {max_ii}]",
+            effort,
         )
 
 

@@ -1,42 +1,47 @@
-"""Memoization of MII and schedule results.
+"""Memoization of MII, schedule, spill-run and register results.
 
 The evaluation sweeps the same loops across machine configurations,
 register budgets and heuristic variants, and the spilling driver needs
-the MII of the (mutating) working graph on every round.  Both are pure
-functions of graph content, so this module caches them:
+the MII of the (mutating) working graph on every round.  All of these
+are pure functions of content, so this module caches them.  Keys start
+from content identifiers:
 
 * **fingerprint** — a content hash of a :class:`~repro.graph.ddg.DDG`
   (nodes, edges, invariants, live-outs; the graph *name* is excluded so
   equal graphs share cache entries).  The hash itself is cached on the
   instance and recomputed only when ``ddg.revision`` changed.
-* **MII cache** — ``(fingerprint, machine)`` → MII.  Combined with the
-  revision-guarded fingerprint this makes MII computation happen at most
-  once per graph mutation, however many times a round asks for it.
-* **schedule memo** — ``(fingerprint, machine, scheduler, min_ii,
-  max_ii)`` → the scheduled result.  Failed searches are cached too and
-  re-raise the original :class:`~repro.sched.base.ScheduleError`.  A hit
-  may return a :class:`~repro.sched.schedule.Schedule` built on a
-  *different* (content-identical) DDG instance; entries are revalidated
-  against the stored graph's current fingerprint, so a mutated graph can
-  never leak a stale schedule.
-* **driver memo** — ``(fingerprint, machine, scheduler, budget,
+* **schedule fingerprint**, **machine key**, **scheduler key** — the
+  same idea for schedules, machine configurations and scheduler
+  configurations.
+
+Every memo is an instance of one type, :class:`Memo`: a bounded FIFO
+dict that reads through and writes through the optional **persistent
+store** of :mod:`repro.sched.store` (a disk directory shared by every
+process pointed at it) under its namespace, and counts
+``<counter>_hits`` / ``<counter>_misses``.  The instances:
+
+* :data:`MII` — ``(fingerprint, machine)`` → MII.  Combined with the
+  revision-guarded fingerprint this makes MII computation happen at
+  most once per graph mutation, however many times a round asks for it.
+* :data:`SCHEDULE` — II searches and fixed-II attempts
+  (:class:`ScheduleMemo`).  Failed searches are cached too and re-raise
+  a :class:`~repro.sched.base.ScheduleError` carrying the failed
+  search's effort.  A hit may return a schedule built on a *different*
+  (content-identical) DDG instance; an entry whose graph no longer has
+  the fingerprint it was stored under counts as absent, so a mutated
+  graph can never leak a stale schedule.
+* :data:`SPILL` — ``(fingerprint, machine, scheduler, budget,
   options)`` → a whole spilling-driver run.  ``fig9`` and the combined
   method run the identical spilling driver back to back; the second run
   is a copy-out instead of a recomputation.
-* **allocation memo** — ``(schedule fingerprint, machine, exact)`` →
-  the lifetime/MaxLive/allocation measurement
+* :data:`ALLOC` — ``(schedule fingerprint, machine, exact)`` → the
+  lifetime/MaxLive/allocation measurement
   (:class:`~repro.lifetimes.requirements.RegisterReport`).  The spill
   and II-increase drivers re-measure the same schedule content across
-  II restarts and register budgets; a report is a pure function of
-  (schedule, machine), so restarts stop recomputing unchanged analyses.
+  II restarts and register budgets.
 
-The in-process memos are per-process, but every memo miss reads through
-(and every computation writes through) the optional **persistent
-store** of :mod:`repro.sched.store` — a disk directory shared by every
-process pointed at it, so engine workers and repeated sweeps reuse each
-other's schedules.  :func:`disabled` bypasses everything, memos and
-store alike — the benchmark harness uses that to time the uncached seed
-behaviour.
+:func:`disabled` bypasses everything, memos and store alike — the
+benchmark harness uses that to time the uncached seed behaviour.
 """
 
 from __future__ import annotations
@@ -60,48 +65,16 @@ _MAX_ENTRIES = 4096
 #: (:data:`repro.telemetry.COUNTERS`, the ``CACHE`` group).  ``store_*``
 #: counts *disk* lookups against the persistent :mod:`repro.sched.store`
 #: layer; it only moves when a store is active, and only on in-memory
-#: memo misses.  ``alloc_*`` counts the lifetime/allocation memo of
-#: :func:`repro.lifetimes.requirements.register_requirements`.
-#: ``STATS`` is this module's name for that set.
+#: memo misses.  ``STATS`` is this module's name for that set.
 STATS = COUNTERS
 
 _enabled = True
-_mii_cache: dict[tuple[str, str], int] = {}
 
 
 def caching_enabled() -> bool:
     """Whether the memos (and the persistent store behind them) are on;
     ``False`` only inside a :func:`disabled` block."""
     return _enabled
-
-
-def _persistent_store():
-    """The active :class:`repro.sched.store.ScheduleStore`, or ``None``
-    (no store configured, or caching disabled)."""
-    if not _enabled:
-        return None
-    return _store_mod.active_store()
-
-
-def _store_get(namespace: str, key: tuple):
-    """Read-through lookup against the persistent store; counts a
-    store hit/miss only when a store is active."""
-    store = _persistent_store()
-    if store is None:
-        return None
-    value = store.get(namespace, key)
-    if value is None:
-        COUNTERS.store_misses += 1
-    else:
-        COUNTERS.store_hits += 1
-    return value
-
-
-def _store_put(namespace: str, key: tuple, value) -> None:
-    """Write-through to the persistent store, if one is active."""
-    store = _persistent_store()
-    if store is not None:
-        store.put(namespace, key, value)
 
 
 @contextlib.contextmanager
@@ -122,14 +95,92 @@ def disabled():
         _enabled = previous
 
 
+class Memo:
+    """One bounded, store-backed memo.
+
+    ``get(key)`` returns the entry or ``None``; ``put(key, value)``
+    records a freshly computed one.  Callers go key → ``get`` → compute
+    → ``put``, so a miss is counted at the lookup.
+
+    * At most :data:`_MAX_ENTRIES` entries are held in memory; the
+      oldest is evicted first.
+    * An in-memory miss reads through the active persistent store under
+      *namespace* (a store hit installs the entry back into memory), and
+      ``put`` writes through it.  Pickling snapshots the value as of
+      ``put``, so later caller-side mutation cannot reach the disk.
+    * Lookups move ``COUNTERS.<counter>_hits`` / ``<counter>_misses``.
+    * An in-memory entry for which *valid* returns false counts as
+      absent.
+    * Inside :func:`disabled`, ``get`` returns ``None`` and nothing is
+      stored or counted.
+
+    Values are shared between callers: a memo holds immutable values or
+    private copies the caller never hands out.
+    """
+
+    def __init__(self, namespace: str, counter: str, valid=None) -> None:
+        self.namespace = namespace
+        self._hits = f"{counter}_hits"
+        self._misses = f"{counter}_misses"
+        self._valid = valid
+        self._entries: dict = {}
+
+    def clear(self) -> None:
+        """Drop every in-memory entry (persistent-store files stay)."""
+        self._entries.clear()
+
+    def get(self, key: tuple):
+        """The entry for *key*, or ``None`` (counted as a miss)."""
+        if not _enabled:
+            return None
+        entry = self._entries.get(key)
+        if entry is None or (
+            self._valid is not None and not self._valid(entry)
+        ):
+            entry = self._load(key)
+            if entry is None:
+                setattr(COUNTERS, self._misses,
+                        getattr(COUNTERS, self._misses) + 1)
+                return None
+            self._install(key, entry)
+        setattr(COUNTERS, self._hits, getattr(COUNTERS, self._hits) + 1)
+        return entry
+
+    def put(self, key: tuple, value) -> None:
+        """Record *value* in memory and in the persistent store."""
+        if not _enabled:
+            return
+        self._install(key, value)
+        store = _store_mod.active_store()
+        if store is not None:
+            store.put(self.namespace, key, value)
+
+    def _load(self, key: tuple):
+        """Read-through lookup against the persistent store; counts a
+        store hit/miss only when a store is active.  A store entry is a
+        freshly unpickled object no caller has held, so it is valid."""
+        store = _store_mod.active_store()
+        if store is None:
+            return None
+        entry = store.get(self.namespace, key)
+        if entry is None:
+            COUNTERS.store_misses += 1
+            return None
+        COUNTERS.store_hits += 1
+        return entry
+
+    def _install(self, key: tuple, value) -> None:
+        if len(self._entries) >= _MAX_ENTRIES:
+            self._entries.pop(next(iter(self._entries)))
+        self._entries[key] = value
+
+
 def clear() -> None:
     """Drop all *in-memory* entries and reset the hit/miss counters.
     The persistent store (if any) keeps its files — use
     :meth:`repro.sched.store.ScheduleStore.clear` for that."""
-    _mii_cache.clear()
-    _SCHEDULE_MEMO.clear()
-    _SPILL_MEMO.clear()
-    _ALLOC_MEMO.clear()
+    for memo in (MII, SCHEDULE, SPILL, ALLOC):
+        memo.clear()
     _graph_index.clear_cache()
     COUNTERS.reset(CACHE)
 
@@ -174,7 +225,7 @@ def schedule_fingerprint(schedule) -> str:
     schedule instance and recomputed when the graph's revision moves.
     Two content-identical schedules of content-identical graphs share
     lifetime/MaxLive/allocation results, which is what the
-    :class:`AllocMemo` keys on."""
+    :data:`ALLOC` memo keys on."""
     cached = getattr(schedule, "_fingerprint", None)
     revision = schedule.ddg.revision
     if cached is not None and cached[0] == revision:
@@ -281,29 +332,18 @@ def owned_schedule(schedule):
 
 # ----------------------------------------------------------------------
 # MII
+MII = Memo("mii", "mii")
+
+
 def cached_mii(ddg: DDG, machine: MachineConfig) -> int:
     """``compute_mii`` memoized on ``(graph content, machine)``, read
     through the persistent store when one is active."""
-    if not _enabled:
-        with phase("mii"):
-            return compute_mii(ddg, machine)
     key = (ddg_fingerprint(ddg), machine_key(machine))
-    hit = _mii_cache.get(key)
-    if hit is not None:
-        COUNTERS.mii_hits += 1
-        return hit
-    stored = _store_get("mii", key)
-    if isinstance(stored, int):
-        COUNTERS.mii_hits += 1
-        mii = stored
-    else:
-        COUNTERS.mii_misses += 1
+    mii = MII.get(key)
+    if mii is None:
         with phase("mii"):
             mii = compute_mii(ddg, machine)
-        _store_put("mii", key, mii)
-    if len(_mii_cache) >= _MAX_ENTRIES:
-        _mii_cache.pop(next(iter(_mii_cache)))
-    _mii_cache[key] = mii
+        MII.put(key, mii)
     return mii
 
 
@@ -315,17 +355,21 @@ class _MemoEntry:
     fingerprint: str
     schedule: object | None  # Schedule on success
     error: str | None        # ScheduleError message on failure
+    effort: object = None    # the failed search's Effort
 
 
-class ScheduleMemo:
-    """Memo for full II searches (``ModuloScheduler.schedule``)."""
+def _graph_unchanged(entry: _MemoEntry) -> bool:
+    """An entry is stale once its graph no longer has the fingerprint
+    it was stored under (a caller mutated the graph it scheduled)."""
+    return ddg_fingerprint(entry.ddg) == entry.fingerprint
+
+
+class ScheduleMemo(Memo):
+    """Memo for II searches (``ModuloScheduler.schedule``) and fixed-II
+    attempts (``ModuloScheduler.try_schedule_at``)."""
 
     def __init__(self) -> None:
-        self._entries: dict[tuple, _MemoEntry] = {}
-
-    def clear(self) -> None:
-        """Drop every in-memory entry (persistent-store files stay)."""
-        self._entries.clear()
+        super().__init__("schedule", "schedule", valid=_graph_unchanged)
 
     def schedule(
         self,
@@ -337,47 +381,13 @@ class ScheduleMemo:
     ):
         """Like ``scheduler.schedule(...)`` but memoized.  On a hit the
         returned schedule may be built on a different, content-identical
-        DDG instance."""
-        from repro.sched.base import ScheduleError
-
-        if not _enabled:
-            with phase("schedule"):
-                return scheduler.schedule(
-                    ddg, machine, min_ii=min_ii, max_ii=max_ii
-                )
-        key = (
-            ddg_fingerprint(ddg),
-            machine_key(machine),
-            scheduler_key(scheduler),
-            min_ii,
-            max_ii,
+        DDG instance, and a cached failure re-raises with its effort."""
+        return self._memoized(
+            (min_ii, max_ii), scheduler, ddg, machine,
+            lambda: scheduler.schedule(
+                ddg, machine, min_ii=min_ii, max_ii=max_ii
+            ),
         )
-        entry = self._entries.get(key)
-        if entry is not None and ddg_fingerprint(entry.ddg) == key[0]:
-            COUNTERS.schedule_hits += 1
-            if entry.error is not None:
-                raise ScheduleError(entry.error)
-            return entry.schedule
-        stored = _store_get("schedule", key)
-        if isinstance(stored, _MemoEntry):
-            # A disk entry is a fresh unpickled object: its graph cannot
-            # have been mutated by anyone, so no revalidation is needed.
-            COUNTERS.schedule_hits += 1
-            self._remember(key, stored, persist=False)
-            if stored.error is not None:
-                raise ScheduleError(stored.error)
-            return stored.schedule
-        COUNTERS.schedule_misses += 1
-        try:
-            with phase("schedule"):
-                schedule = scheduler.schedule(
-                    ddg, machine, min_ii=min_ii, max_ii=max_ii
-                )
-        except ScheduleError as error:
-            self._remember(key, _MemoEntry(ddg, key[0], None, str(error)))
-            raise
-        self._remember(key, _MemoEntry(ddg, key[0], schedule, None))
-        return schedule
 
     def try_at(
         self,
@@ -391,156 +401,55 @@ class ScheduleMemo:
         and the combined method's binary search probe the same
         ``(graph, machine, II)`` points for every register budget — the
         attempt outcome does not depend on the budget, so they share."""
-        if not _enabled:
-            with phase("schedule"):
-                return scheduler.try_schedule_at(ddg, machine, ii)
-        key = (
-            ddg_fingerprint(ddg),
-            machine_key(machine),
-            scheduler_key(scheduler),
-            "at",
-            ii,
+        return self._memoized(
+            ("at", ii), scheduler, ddg, machine,
+            lambda: scheduler.try_schedule_at(ddg, machine, ii),
         )
-        entry = self._entries.get(key)
-        if entry is not None and ddg_fingerprint(entry.ddg) == key[0]:
-            COUNTERS.schedule_hits += 1
-            return entry.schedule
-        stored = _store_get("schedule", key)
-        if isinstance(stored, _MemoEntry):
-            COUNTERS.schedule_hits += 1
-            self._remember(key, stored, persist=False)
-            return stored.schedule
-        COUNTERS.schedule_misses += 1
-        with phase("schedule"):
-            schedule = scheduler.try_schedule_at(ddg, machine, ii)
-        self._remember(key, _MemoEntry(ddg, key[0], schedule, None))
-        return schedule
 
-    def _remember(
-        self, key: tuple, entry: _MemoEntry, persist: bool = True
-    ) -> None:
-        if len(self._entries) >= _MAX_ENTRIES:
-            self._entries.pop(next(iter(self._entries)))
-        self._entries[key] = entry
-        if persist:
-            # Pickling snapshots the graph/schedule content as of now —
-            # later caller-side mutation cannot reach the disk entry.
-            _store_put("schedule", key, entry)
+    def _memoized(self, bounds: tuple, scheduler, ddg, machine, search):
+        from repro.sched.base import ScheduleError
+
+        fingerprint = ddg_fingerprint(ddg)
+        key = (
+            fingerprint, machine_key(machine), scheduler_key(scheduler),
+        ) + bounds
+        entry = self.get(key)
+        if entry is None:
+            try:
+                with phase("schedule"):
+                    entry = _MemoEntry(ddg, fingerprint, search(), None)
+            except ScheduleError as error:
+                entry = _MemoEntry(
+                    ddg, fingerprint, None, str(error), error.effort
+                )
+            self.put(key, entry)
+        if entry.error is not None:
+            # a copy: the caller may add to the effort it is handed
+            raise ScheduleError(entry.error, replace(entry.effort))
+        return entry.schedule
 
 
-_SCHEDULE_MEMO = ScheduleMemo()
+SCHEDULE = ScheduleMemo()
 
 
 def schedule_memo() -> ScheduleMemo:
     """The process-wide schedule memo (one per engine worker)."""
-    return _SCHEDULE_MEMO
+    return SCHEDULE
 
 
 # ----------------------------------------------------------------------
-# driver runs (whole spilling-driver results)
-class DriverMemo:
-    """Memo for whole driver runs, keyed like the schedule memo.
-
-    The combined method re-runs the identical spilling driver the plain
-    ``fig9`` cell just ran; memoizing at the driver level removes that
-    back-to-back recomputation.  Unlike :class:`ScheduleMemo`, entries
-    here are *privately owned copies* stored by the driver (callers can
-    never mutate them), and keys start with the input graph's content
-    fingerprint — so entries cannot go stale and need no revalidation.
-
-    The stored value is opaque to this module; the driver supplies a
-    ``copy`` callable when reading so every hit hands out a fresh,
-    caller-owned result.
-    """
-
-    def __init__(self) -> None:
-        self._entries: dict[tuple, object] = {}
-
-    def clear(self) -> None:
-        """Drop every in-memory entry (persistent-store files stay)."""
-        self._entries.clear()
-
-    def get(self, key: tuple, copy):
-        """The memoized run for *key* (copied via *copy*), or None.
-        In-memory misses read through the persistent store."""
-        entry = self._entries.get(key)
-        if entry is None:
-            entry = _store_get("spill", key)
-            if entry is None:
-                return None
-            self._install(key, entry)
-        COUNTERS.spill_hits += 1
-        return copy(entry)
-
-    def put(self, key: tuple, value) -> None:
-        """Record a freshly computed run (a private copy the caller can
-        never reach) in memory and in the persistent store."""
-        COUNTERS.spill_misses += 1
-        self._install(key, value)
-        _store_put("spill", key, value)
-
-    def _install(self, key: tuple, value) -> None:
-        if len(self._entries) >= _MAX_ENTRIES:
-            self._entries.pop(next(iter(self._entries)))
-        self._entries[key] = value
+# whole spilling-driver runs and register-requirement measurements
+#: Entries are private copies the driver stores; hits are copied out.
+SPILL = Memo("spill", "spill")
+#: Reports are frozen dataclasses: hits hand out the entry itself.
+ALLOC = Memo("alloc", "alloc")
 
 
-_SPILL_MEMO = DriverMemo()
-
-
-def spill_memo() -> DriverMemo:
+def spill_memo() -> Memo:
     """The process-wide spilling-driver memo (one per engine worker)."""
-    return _SPILL_MEMO
+    return SPILL
 
 
-# ----------------------------------------------------------------------
-# register-requirement measurements (lifetimes + MaxLive + allocation)
-class AllocMemo:
-    """Memo for :class:`~repro.lifetimes.requirements.RegisterReport`
-    measurements, keyed by ``(schedule fingerprint, machine, exact)``.
-
-    The spilling and II-increase drivers re-measure the same schedules
-    across II restarts, register budgets and back-to-back strategies
-    (``combined`` after ``fig9``); a report is a pure function of
-    schedule content, so the measurement is shared process-wide and —
-    through the ``"alloc"`` store namespace — across processes.  Reports
-    are frozen dataclasses: hits hand out the entry itself, no copy."""
-
-    def __init__(self) -> None:
-        self._entries: dict[tuple, object] = {}
-
-    def clear(self) -> None:
-        """Drop every in-memory entry (persistent-store files stay)."""
-        self._entries.clear()
-
-    def get(self, key: tuple):
-        """The memoized report for *key*, or None (counted as a miss).
-        In-memory misses read through the persistent store."""
-        entry = self._entries.get(key)
-        if entry is None:
-            entry = _store_get("alloc", key)
-            if entry is None:
-                COUNTERS.alloc_misses += 1
-                return None
-            self._install(key, entry)
-        COUNTERS.alloc_hits += 1
-        return entry
-
-    def put(self, key: tuple, report) -> None:
-        """Record a freshly measured report in memory and in the
-        persistent store."""
-        self._install(key, report)
-        _store_put("alloc", key, report)
-
-    def _install(self, key: tuple, value) -> None:
-        if len(self._entries) >= _MAX_ENTRIES:
-            self._entries.pop(next(iter(self._entries)))
-        self._entries[key] = value
-
-
-_ALLOC_MEMO = AllocMemo()
-
-
-def alloc_memo() -> AllocMemo:
+def alloc_memo() -> Memo:
     """The process-wide register-requirement memo (one per worker)."""
-    return _ALLOC_MEMO
+    return ALLOC

@@ -1,12 +1,13 @@
 """Disk-backed, cross-process persistent schedule store.
 
 The in-process memos in :mod:`repro.sched.cache` (MII, schedule, whole
-spilling-driver runs) die with the process, and every experiment-engine
-worker warms a private copy — a ``--jobs 8`` sweep derives the same
-ideal schedules eight times, and nothing survives between sweeps.  This
-module adds the layer below those memos: a content-addressed directory
-of pickled cache entries that every process reads through and writes
-through.
+spilling-driver runs, register allocation — namespaces ``mii``,
+``schedule``, ``spill`` and ``alloc``) die with the process, and every
+experiment-engine worker warms a private copy — a ``--jobs 8`` sweep
+derives the same ideal schedules eight times, and nothing survives
+between sweeps.  This module adds the layer below those memos: a
+content-addressed directory of pickled cache entries that every process
+reads through and writes through.
 
 Design:
 
@@ -53,7 +54,7 @@ from repro.telemetry import COUNTERS
 
 #: Bump to invalidate every existing on-disk entry (the version is part
 #: of the hashed key material *and* checked in the entry header).
-STORE_VERSION = 3
+STORE_VERSION = 4
 
 _MAGIC = b"repro-store\x00"
 _EVICT_EVERY = 64

@@ -601,8 +601,15 @@ class CompileService:
 
     def prometheus(self) -> str:
         """The ``/metrics`` exposition document (text format 0.0.4):
-        the recorder's lifetime counters and latency histograms plus a
-        few instantaneous service gauges."""
+        the recorder's lifetime counters and latency histograms, the
+        trace spans lost so far (by the recorder's bounded span buffer
+        or the trace context's), plus a few instantaneous service
+        gauges."""
+        counters = self.metrics.counter_snapshot()
+        counters["trace_spans_dropped"] = (
+            self.metrics.summary()["spans"]["dropped"]
+            + trace_context.dropped_count()
+        )
         with self._lock:
             gauges = {
                 "queued": float(len(self._queue)),
@@ -611,7 +618,7 @@ class CompileService:
             }
         gauges["uptime_seconds"] = time.time() - self.started_at
         return render_prometheus(
-            self.metrics.counter_snapshot(),
+            counters,
             gauges,
             self.metrics.histogram_snapshot(),
         )

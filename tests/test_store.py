@@ -16,6 +16,7 @@ from repro.sched import store as sched_store
 from repro.sched.base import ScheduleError
 from repro.sched.hrms import HRMSScheduler
 from repro.sched.store import STORE_VERSION, ScheduleStore
+from repro.telemetry import CACHE
 
 FIG2 = "x[i] = y[i]*a + y[i-3]"
 KEY = ("fingerprint", "machine", "scheduler", 3, None)
@@ -275,6 +276,7 @@ class TestMemoReadThrough:
                     scheduler, ddg, machine, max_ii=0
                 )
             assert str(second.value) == str(first.value)
+            assert second.value.effort == first.value.effort
             assert sched_cache.STATS.schedule_misses == 0
 
     def test_spill_memo_survives_memory_clear(self, tmp_path):
@@ -295,13 +297,34 @@ class TestMemoReadThrough:
             third = schedule_with_spilling(ddg, machine, 6)
         assert third.schedule.times == first.schedule.times
 
-    def test_disabled_bypasses_the_store(self, tmp_path):
+    @pytest.mark.parametrize(
+        "lookup", ["mii", "search", "try_at", "spill", "requirements"]
+    )
+    def test_disabled_bypasses_the_store(self, tmp_path, lookup):
+        from repro.core.driver import schedule_with_spilling
+        from repro.lifetimes.requirements import register_requirements
+
         ddg, machine = self._context()
+        scheduler = HRMSScheduler()
+        run = {
+            "mii": lambda: sched_cache.cached_mii(ddg, machine),
+            "search": lambda: sched_cache.schedule_memo().schedule(
+                scheduler, ddg, machine
+            ),
+            "try_at": lambda: sched_cache.schedule_memo().try_at(
+                scheduler, ddg, machine, 4
+            ),
+            "spill": lambda: schedule_with_spilling(ddg, machine, 6),
+            "requirements": lambda: register_requirements(
+                scheduler.schedule(ddg, machine)
+            ),
+        }[lookup]
         with sched_store.using(tmp_path) as store:
             with sched_cache.disabled():
-                sched_cache.cached_mii(ddg, machine)
+                run()
+                run()
             assert store.entries() == []
-            assert sched_cache.STATS.store_misses == 0
+        assert set(sched_cache.STATS.as_dict(CACHE).values()) == {0}
 
     def test_no_store_means_no_store_counters(self):
         ddg, machine = self._context()

@@ -337,6 +337,25 @@ class TestServiceSpans:
         }
         service.close()
 
+    def test_metrics_export_every_dropped_span(self):
+        # five spans lost by the trace context's buffer (no flush target
+        # yet), three by the service recorder's
+        context = trace.new_trace()
+        for index in range(SPAN_BUFFER_CAP + 5):
+            trace.record_span(
+                f"s{index}", "client", 0.0, context=context.child()
+            )
+        trace.drain_spans()
+        service = CompileService(jobs=1)
+        try:
+            service.metrics.record_spans(
+                [{"name": "s"}] * (SPAN_PENDING_CAP + 3)
+            )
+            samples = parse_text(service.prometheus())
+        finally:
+            service.close()
+        assert samples["repro_trace_spans_dropped_total"] == 8.0
+
 
 # ======================================================================
 class TestHTTPTransport:
